@@ -1,22 +1,27 @@
-"""Time the JIT compute kernels against their pure-numpy twins.
+"""Time the compute kernels and the prior draw.
 
 Each kernel is fed inputs sized like the desk-scale problem (60 players,
-350 tiles, 4 components, about 30k shots) and timed best-of-N.  The numba
-flavor is warmed once before timing so compilation is not measured.  The
-report also prints the largest absolute disagreement between the two
-flavors, which should sit within a few ulps of zero.
+350 tiles, 4 components, about 30k shots) and timed best-of-N on the
+pure-numpy path.  When numba is importable, each JIT twin is warmed once (so
+compilation is not measured), timed beside it, and the largest absolute
+disagreement between the two is printed; it should sit within a few ulps
+of zero.  The GP prior draw (``gp.sample_field``) is timed on the 350-tile
+and 1,750-tile grids.
 
 Run from the repository root:
 
-    python3 benchmarks/bench_kernels.py --repeats 50
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py --repeats 50
 """
 
 import argparse
 import time
 
 import numpy as np
+from scipy.special import gammaln
 
 from shotfactor import backend
+from shotfactor.court import CourtGrid
+from shotfactor.gp import KernelHyper, build_cov_factor, sample_field
 
 
 def _time(fn, args, repeats):
@@ -35,12 +40,13 @@ def _max_diff(a, b):
 
 
 def build_cases(seed):
-    """Representative inputs for every kernel pair."""
+    """Representative inputs for every kernel."""
     rng = np.random.default_rng(seed)
     n_players, n_tiles, k, n_shots = 60, 350, 4, 30000
 
     counts = rng.poisson(1.5, size=n_tiles).astype(np.float64)
     field = rng.normal(0.0, 1.0, size=n_tiles)
+    log_norm = gammaln(counts + 1.0).sum()  # fit_lgcp sums it once per player
 
     makes = rng.integers(0, 40, size=(n_players, k)).astype(np.float64)
     attempts = makes + rng.integers(0, 40, size=(n_players, k))
@@ -55,11 +61,12 @@ def build_cases(seed):
     types = rng.integers(0, k, size=n_shots)
     made = (rng.random(n_shots) < 0.45).astype(np.float64)
 
-    cx = rng.uniform(0.0, 35.0, size=n_tiles)
-    cy = rng.uniform(0.0, 50.0, size=n_tiles)
+    # the prior builds one matrix per court axis, at most 50 tiles long
+    cx = rng.uniform(0.0, 50.0, size=50)
+    cy = np.zeros(50)
 
     return [
-        ("poisson_field_loglik", (counts, field, -0.2, 5.0)),
+        ("poisson_field_loglik", (counts, field, -0.2, 5.0, log_norm)),
         ("bernoulli_logits_loglik", (makes, attempts, logits)),
         ("draw_type_indices", (weights, bases, players, tiles, uniforms)),
         ("sq_exp_matrix", (cx, cy, 1.3, 8.0)),
@@ -70,7 +77,7 @@ def build_cases(seed):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Benchmark the JIT kernels against the pure-numpy path."
+        description="Time the compute kernels and the GP prior draw."
     )
     parser.add_argument(
         "--repeats", type=int, default=50, help="timing repetitions per kernel"
@@ -78,32 +85,36 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="input generation seed")
     args = parser.parse_args(argv)
 
-    if not backend.HAS_NUMBA:
-        print(
-            "numba backend unavailable (SHOTFACTOR_BACKEND=numpy or numba "
-            "missing); nothing to compare."
-        )
-        return 0
-
-    print(f"repeats per kernel: {args.repeats}")
-    header = f"{'kernel':<30} {'numpy':>10} {'numba':>10} {'speedup':>8} {'max diff':>10}"
+    print(f"repeats per kernel: {args.repeats}; numba: {backend.HAS_NUMBA}")
+    header = f"{'kernel':<30} {'numpy':>10}"
+    if backend.HAS_NUMBA:
+        header += f" {'numba':>10} {'speedup':>8} {'max diff':>10}"
     print(header)
     print("-" * len(header))
     for name, inputs in build_cases(args.seed):
         numpy_fn = getattr(backend, f"{name}_numpy")
-        numba_fn = getattr(backend, f"{name}_numba")
-        out_numba = numba_fn(*inputs)  # warm-up triggers compilation
-        out_numpy = numpy_fn(*inputs)
-        if isinstance(out_numpy, tuple):
-            diff = max(_max_diff(a, b) for a, b in zip(out_numpy, out_numba))
-        else:
-            diff = _max_diff(out_numpy, out_numba)
         t_numpy = _time(numpy_fn, inputs, args.repeats)
-        t_numba = _time(numba_fn, inputs, args.repeats)
-        print(
-            f"{name:<30} {t_numpy * 1e3:>8.3f}ms {t_numba * 1e3:>8.3f}ms "
-            f"{t_numpy / t_numba:>7.1f}x {diff:>10.2e}"
-        )
+        line = f"{name:<30} {t_numpy * 1e3:>8.3f}ms"
+        numba_fn = getattr(backend, f"{name}_numba", None)
+        if numba_fn is not None:
+            out_numba = numba_fn(*inputs)  # warm-up triggers compilation
+            out_numpy = numpy_fn(*inputs)
+            if isinstance(out_numpy, tuple):
+                diff = max(_max_diff(a, b) for a, b in zip(out_numpy, out_numba))
+            else:
+                diff = _max_diff(out_numpy, out_numba)
+            t_numba = _time(numba_fn, inputs, args.repeats)
+            line += (
+                f" {t_numba * 1e3:>8.3f}ms {t_numpy / t_numba:>7.1f}x {diff:>10.2e}"
+            )
+        print(line)
+    for tile_size in ((2.5, 2.0), (1.0, 1.0)):
+        grid = CourtGrid(tile_size=tile_size)
+        factor = build_cov_factor(grid, KernelHyper())
+        rng = np.random.default_rng(args.seed)
+        t_draw = _time(sample_field, (factor, rng), args.repeats)
+        label = f"sample_field ({grid.n_tiles} tiles)"
+        print(f"{label:<30} {t_draw * 1e3:>8.3f}ms")
     return 0
 
 

@@ -1,8 +1,8 @@
 """Compute kernels for the sampling inner loops, in two flavors.
 
 Every kernel exists as a pure-numpy implementation (``*_numpy``) and, when
-numba is importable, a JIT-compiled loop version (``*_numba``).  The public
-names are bound once at import time:
+numba is importable, all but ``sq_exp_matrix`` have a JIT-compiled loop
+version (``*_numba``).  The public names are bound once at import time:
 
 * ``SHOTFACTOR_BACKEND=numpy``  forces the pure-numpy path,
 * ``SHOTFACTOR_BACKEND=numba``  (the default) uses the JIT kernels and falls
@@ -44,16 +44,20 @@ BACKEND = "numba" if HAS_NUMBA else "numpy"
 # ---------------------------------------------------------------------------
 
 
-def poisson_field_loglik_numpy(counts, field, bias, area):
+def poisson_field_loglik_numpy(counts, field, bias, area, log_norm=None):
     """Poisson log-likelihood of per-tile counts under rates exp(field + bias).
 
     Returns sum_v [c_v*log(area*rate_v) - area*rate_v - log(c_v!)].
+    ``log_norm`` is sum_v log(c_v!), computed here when None; a caller that
+    evaluates the same counts many times passes it in.
     """
+    if log_norm is None:
+        log_norm = gammaln(counts + 1.0).sum()
     log_rate = field + bias
     return float(
         np.dot(counts, math.log(area) + log_rate)
         - area * np.exp(log_rate).sum()
-        - gammaln(counts + 1.0).sum()
+        - log_norm
     )
 
 
@@ -95,11 +99,11 @@ def sq_exp_matrix_numpy(cx, cy, variance, length_scale):
 
 def aggregate_outcomes_numpy(players, types, made, n_players, n_types):
     """Per (player, component) make and attempt counts."""
-    makes = np.zeros((n_players, n_types))
-    attempts = np.zeros((n_players, n_types))
-    np.add.at(attempts, (players, types), 1.0)
-    np.add.at(makes, (players, types), made.astype(np.float64))
-    return makes, attempts
+    cells = players * n_types + types
+    size = n_players * n_types
+    attempts = np.bincount(cells, minlength=size).astype(np.float64)
+    makes = np.bincount(cells, weights=made, minlength=size)
+    return makes.reshape(n_players, n_types), attempts.reshape(n_players, n_types)
 
 
 def mixture_probability_surface_numpy(weights_row, bases, logits_row):
@@ -123,16 +127,17 @@ def mixture_probability_surface_numpy(weights_row, bases, logits_row):
 if HAS_NUMBA:
 
     @njit(cache=True)
-    def poisson_field_loglik_numba(counts, field, bias, area):
+    def poisson_field_loglik_numba(counts, field, bias, area, log_norm=None):
         log_area = math.log(area)
         total = 0.0
         for v in range(field.shape[0]):
             log_rate = field[v] + bias
-            total += (
-                counts[v] * (log_area + log_rate)
-                - area * math.exp(log_rate)
-                - math.lgamma(counts[v] + 1.0)
-            )
+            total += counts[v] * (log_area + log_rate) - area * math.exp(log_rate)
+        if log_norm is None:
+            for v in range(counts.shape[0]):
+                total -= math.lgamma(counts[v] + 1.0)
+        else:
+            total -= log_norm
         return total
 
     @njit(cache=True)
@@ -179,20 +184,6 @@ if HAS_NUMBA:
         return out
 
     @njit(cache=True)
-    def sq_exp_matrix_numba(cx, cy, variance, length_scale):
-        n = cx.shape[0]
-        inv = 0.5 / length_scale**2
-        out = np.empty((n, n))
-        for i in range(n):
-            out[i, i] = variance
-            for j in range(i + 1, n):
-                d2 = (cx[i] - cx[j]) ** 2 + (cy[i] - cy[j]) ** 2
-                value = variance * math.exp(-d2 * inv)
-                out[i, j] = value
-                out[j, i] = value
-        return out
-
-    @njit(cache=True)
     def aggregate_outcomes_numba(players, types, made, n_players, n_types):
         makes = np.zeros((n_players, n_types))
         attempts = np.zeros((n_players, n_types))
@@ -226,13 +217,15 @@ if HAS_NUMBA:
     poisson_field_loglik = poisson_field_loglik_numba
     bernoulli_logits_loglik = bernoulli_logits_loglik_numba
     draw_type_indices = draw_type_indices_numba
-    sq_exp_matrix = sq_exp_matrix_numba
     aggregate_outcomes = aggregate_outcomes_numba
     mixture_probability_surface = mixture_probability_surface_numba
 else:
     poisson_field_loglik = poisson_field_loglik_numpy
     bernoulli_logits_loglik = bernoulli_logits_loglik_numpy
     draw_type_indices = draw_type_indices_numpy
-    sq_exp_matrix = sq_exp_matrix_numpy
     aggregate_outcomes = aggregate_outcomes_numpy
     mixture_probability_surface = mixture_probability_surface_numpy
+
+# Called twice per prior build on one court axis (at most 50 points): no JIT
+# twin, whose compilation would cost more than the kernel.
+sq_exp_matrix = sq_exp_matrix_numpy

@@ -77,11 +77,10 @@ def openblas_thread_controls() -> list:
 def one_blas_thread():
     """Hold every loaded OpenBLAS to one thread; restore the counts after.
 
-    Threaded OpenBLAS kernels (the Cholesky factor of the field prior, and
-    the matrix-vector product of each prior draw at fine grids) round
-    differently with the thread count; holding one thread makes artifacts
-    byte-identical whatever ``OPENBLAS_NUM_THREADS`` says.  Without a
-    control to hold, one warning line goes to stderr and the body runs as is.
+    Threaded OpenBLAS kernels may round differently with the thread count;
+    holding one thread makes artifacts byte-identical whatever
+    ``OPENBLAS_NUM_THREADS`` says.  Without a control to hold, one warning
+    line goes to stderr and the body runs as is.
     """
     controls = openblas_thread_controls()
     if not controls:

@@ -1,7 +1,9 @@
-"""Squared-exponential covariance over tile centers and Gaussian field draws."""
+"""Squared-exponential covariance over tile centers, in Kronecker-factored
+form, and Gaussian field draws."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +26,20 @@ class KernelHyper:
 
 @dataclass(eq=False)
 class CovFactor:
-    """Lower Cholesky factor of the covariance matrix plus diagonal jitter.
-
-    Immutable by convention: a factor may be shared across concurrent fits.
+    """Lower Cholesky factors of the unit-variance row (ny x ny) and column
+    (nx x nx) kernels, each with ``jitter / scale**2`` on its diagonal; the
+    tile covariance is ``scale**2 * Ky ⊗ Kx``.  Immutable by convention: a
+    factor may be shared across concurrent fits.
     """
 
-    lower: np.ndarray
+    lower_y: np.ndarray
+    lower_x: np.ndarray
+    scale: float
     jitter: float
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.lower_y.shape[0] * self.lower_x.shape[0]
 
 
 def squared_exponential(xi, xj, hyper: KernelHyper):
@@ -49,9 +57,12 @@ def squared_exponential(xi, xj, hyper: KernelHyper):
 def build_cov_factor(
     grid: CourtGrid, hyper: KernelHyper, jitter: float | None = None
 ) -> CovFactor:
-    """Assemble the covariance over tile centers and factorize it.
+    """Factorize the tile covariance as ``variance * Ky ⊗ Kx``.
 
-    Jitter (default 1e-6 * variance) is added to the diagonal; a failed
+    The squared-exponential kernel is separable, so on the tile grid only
+    the 1-D kernels over row and column centers are built: O(nx^2 + ny^2)
+    memory, not O(V^2).  Jitter (default 1e-6 * variance) is added to both
+    factors' diagonals, which moves the covariance by O(jitter); a failed
     factorization retries with jitter scaled by 10, up to 3 times.
     """
     if jitter is None:
@@ -59,18 +70,20 @@ def build_cov_factor(
     if jitter <= 0:
         raise ValueError("jitter must be positive")
     centers = grid.tile_centers()
-    cov = backend.sq_exp_matrix(
-        np.ascontiguousarray(centers[:, 0]),
-        np.ascontiguousarray(centers[:, 1]),
-        hyper.variance,
-        hyper.length_scale,
-    )
-    v = grid.n_tiles
+    kernels = [
+        backend.sq_exp_matrix(
+            np.ascontiguousarray(axis), np.zeros(len(axis)), 1.0, hyper.length_scale
+        )
+        for axis in (centers[:: grid.nx, 1], centers[: grid.nx, 0])
+    ]
     current = jitter
     for attempt in range(4):
         try:
-            lower = np.linalg.cholesky(cov + current * np.eye(v))
-            return CovFactor(lower=lower, jitter=current, dim=v)
+            lower_y, lower_x = [
+                np.linalg.cholesky(k + (current / hyper.variance) * np.eye(len(k)))
+                for k in kernels
+            ]
+            return CovFactor(lower_y, lower_x, math.sqrt(hyper.variance), current)
         except np.linalg.LinAlgError:
             if attempt < 3:
                 current *= 10.0
@@ -79,27 +92,14 @@ def build_cov_factor(
     )
 
 
-# Rows per block of the triangular product in sample_field.  Measured with
-# one BLAS thread: 128 costs about one extra call over the plain product at
-# 350 tiles, and halves the time of a draw at 1,750 tiles.
-_ROW_BLOCK = 128
-
-
 def sample_field(factor: CovFactor, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean Gaussian field draw with covariance L L^T.
+    """One zero-mean Gaussian field draw with the factor's covariance.
 
-    Computes ``L @ z`` for standard normal ``z`` over the lower triangle
-    only: each block of ``_ROW_BLOCK`` rows is multiplied by the columns up
-    to its last row, which halves the work at fine grids and matches the
-    full product to rounding.  The bytes of a draw depend on the BLAS thread
-    count; the CLI holds OpenBLAS to one thread so that its artifacts do
-    not, and library callers get the same bytes across thread counts only
-    under ``OPENBLAS_NUM_THREADS=1``.
+    ``scale * L_y @ Z @ L_x.T`` for ny x nx standard normals ``Z``, raveled
+    row-major (x fastest): the same as ``scale * (L_y ⊗ L_x) @ Z.ravel()``.
+    The CLI holds OpenBLAS to one thread so its artifacts do not depend on
+    the thread count; library callers get that only under
+    ``OPENBLAS_NUM_THREADS=1``.
     """
-    z = rng.standard_normal(factor.dim)
-    lower = factor.lower
-    draw = np.empty(factor.dim)
-    for start in range(0, factor.dim, _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        draw[start:stop] = lower[start:stop, :stop] @ z[:stop]
-    return draw
+    z = rng.standard_normal((factor.lower_y.shape[0], factor.lower_x.shape[0]))
+    return factor.scale * (factor.lower_y @ z @ factor.lower_x.T).ravel()

@@ -153,9 +153,11 @@ def fit_lgcp(
         rng = np.random.default_rng([config.seed])
     area = grid.tile_area
     counts_f = np.ascontiguousarray(counts, dtype=np.float64)
+    # log(c!) does not depend on the field: sum it once per player
+    log_norm = gammaln(counts_f + 1.0).sum()
 
     def loglik(z):
-        return backend.poisson_field_loglik(counts_f, z, bias, area)
+        return backend.poisson_field_loglik(counts_f, z, bias, area, log_norm)
 
     z = np.zeros(grid.n_tiles)
     ll = loglik(z)

@@ -2,10 +2,10 @@
 evaluation, all persisted and resumable.
 
 Every stage writes its outputs to the artifact directory and records their
-checksums.  A rerun with the same config skips stages whose outputs are
-intact; a corrupted intermediate triggers a warning and a re-run of its
-stage.  Nothing here consults the clock, so a given (config, seed) pair
-always produces the same bytes.
+checksums.  A rerun with the same config, input files and package version
+skips stages whose outputs are intact; a corrupted intermediate triggers a
+warning and a re-run of its stage.  Nothing here consults the clock, so a
+given (config, seed) pair always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .court import (
     CourtGrid,
     build_count_matrix,
@@ -204,21 +205,25 @@ def _sha256(path) -> str:
 
 
 class StageRunner:
-    """Runs named stages, skipping ones whose outputs are intact."""
+    """Runs named stages, skipping ones whose outputs are intact under the
+    same key: config text, package version and each input file's content
+    (or absence).  A changed key reruns every stage."""
 
-    def __init__(self, out_dir, config_text: str, log=print):
+    def __init__(self, out_dir, config_text: str, inputs, log=print):
         self.out_dir = out_dir
         self.state_path = os.path.join(out_dir, "pipeline_state.txt")
         self.log = log
-        self.config_sha = hashlib.sha256(config_text.encode()).hexdigest()
-        self.state = {"config_sha": self.config_sha, "artifacts": {}}
+        key = [config_text, __version__]
+        key += [_sha256(p) if os.path.exists(p) else "absent" for p in inputs]
+        self.key_sha = hashlib.sha256("\0".join(key).encode()).hexdigest()
+        self.state = {"key_sha": self.key_sha, "artifacts": {}}
         if os.path.exists(self.state_path):
             try:
                 with open(self.state_path) as f:
                     old = json.load(f)
             except (OSError, json.JSONDecodeError):
                 old = None
-            if old and old.get("config_sha") == self.config_sha:
+            if old and old.get("key_sha") == self.key_sha:
                 self.state = old
 
     def _save(self):
@@ -332,8 +337,9 @@ def run_pipeline(config: PipelineConfig, out_dir=None, log=print) -> dict:
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
     manifest = write_manifest(out_dir, config)
+    truth_path = os.path.join(os.path.dirname(config.shots), "truth_B.csv")
     with open(manifest) as f:
-        runner = StageRunner(out_dir, f.read(), log=log)
+        runner = StageRunner(out_dir, f.read(), [config.shots, truth_path], log=log)
     grid = config.grid()
 
     def p(name):
@@ -425,7 +431,6 @@ def run_pipeline(config: PipelineConfig, out_dir=None, log=print) -> dict:
             volumes_map = json.load(f)["volumes"]
         volumes = np.array([volumes_map[player] for player in players])
         truth_bases = None
-        truth_path = os.path.join(os.path.dirname(config.shots), "truth_B.csv")
         if os.path.exists(truth_path):
             _, truth_bases, _ = read_surface_csv(truth_path)
         report = compare_surfaces(

@@ -171,14 +171,6 @@ class TestSqExpMatrix:
         np.testing.assert_allclose(k, k.T, rtol=0, atol=0)
         np.testing.assert_allclose(np.diag(k), 2.5, rtol=1e-14)
 
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(31)
-        cx, cy = rng.uniform(0, 35, size=(2, 60))
-        a = bk.sq_exp_matrix_numpy(cx, cy, 1.0, 5.0)
-        b = bk.sq_exp_matrix_numba(cx, cy, 1.0, 5.0)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
-
 
 class TestAggregateOutcomes:
     def test_matches_dense_accumulation(self):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and the staged pipeline."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -346,6 +347,23 @@ class TestPipelineCommand:
         out = capsys.readouterr().out
         assert out.count("up to date, skipping") == 5
         assert (tmp_path / "eval_report.csv").read_bytes() == before
+
+    def test_edited_shots_rerun_ingest(self, workspace, tmp_path, capsys):
+        """A resumed run whose shots file changed does not serve the old
+        artifacts: ingest reruns."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace["root"] / "data", data)
+        config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
+        assert main(["pipeline", "--config", config_path]) == 0
+        before = (tmp_path / "artifacts" / "counts_train.csv").read_bytes()
+        lines = (data / "shots.csv").read_text().splitlines(keepends=True)
+        (data / "shots.csv").write_text("".join(lines[: len(lines) * 2 // 3]))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", config_path]) == 0
+        out = capsys.readouterr().out
+        assert "[ingest] done" in out
+        assert "up to date" not in out
+        assert (tmp_path / "artifacts" / "counts_train.csv").read_bytes() != before
 
     def test_corrupted_intermediate_reruns_stage(self, workspace, tmp_path, capsys):
         """A checksum mismatch triggers regeneration of that stage."""

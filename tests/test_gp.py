@@ -1,5 +1,5 @@
-"""Smoothness-prior covariance: kernel values, Cholesky assembly, and
-the moments of sampled fields."""
+"""Smoothness-prior covariance: kernel values, Kronecker-factored Cholesky
+assembly, and the moments of sampled fields."""
 
 import numpy as np
 import pytest
@@ -52,17 +52,33 @@ class TestSquaredExponential:
 
 class TestBuildCovFactor:
     def test_factor_reproduces_covariance(self):
-        h = KernelHyper(variance=1.0, length_scale=4.0)
-        factor = build_cov_factor(GRID, h)
-        centers = GRID.tile_centers()
-        d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        cov = np.exp(-0.5 * d2 / 16.0) + factor.jitter * np.eye(GRID.n_tiles)
-        np.testing.assert_allclose(factor.lower @ factor.lower.T, cov, atol=1e-8)
+        """The Kronecker covariance equals the dense squared-exponential
+        covariance over tile centers to O(jitter), on the 350- and
+        1,750-tile grids."""
+        h = KernelHyper(variance=2.0, length_scale=4.0)
+        for grid in (GRID, CourtGrid(tile_size=1.0)):
+            factor = build_cov_factor(grid, h)
+            centers = grid.tile_centers()
+            dense = squared_exponential(centers[:, None, :], centers[None, :, :], h)
+            full = factor.scale * np.kron(factor.lower_y, factor.lower_x)
+            assert factor.dim == grid.n_tiles
+            np.testing.assert_allclose(
+                full @ full.T, dense, rtol=0, atol=3 * factor.jitter
+            )
 
     def test_lower_triangular(self):
         factor = build_cov_factor(GRID, KernelHyper())
-        np.testing.assert_array_equal(np.triu(factor.lower, k=1), 0.0)
+        assert factor.lower_y.shape == (GRID.ny, GRID.ny)
+        assert factor.lower_x.shape == (GRID.nx, GRID.nx)
+        np.testing.assert_array_equal(np.triu(factor.lower_y, k=1), 0.0)
+        np.testing.assert_array_equal(np.triu(factor.lower_x, k=1), 0.0)
         assert factor.dim == GRID.n_tiles
+
+    def test_fine_grid_factor_is_small(self):
+        """At 1,750 tiles the two factors total under 64 KB."""
+        factor = build_cov_factor(CourtGrid(tile_size=1.0), KernelHyper())
+        assert factor.dim == 1750
+        assert factor.lower_y.nbytes + factor.lower_x.nbytes < 64 * 1024
 
     def test_default_jitter_scales_with_variance(self):
         f1 = build_cov_factor(GRID, KernelHyper(variance=1.0, length_scale=2.0))
@@ -81,7 +97,8 @@ class TestBuildCovFactor:
         """Nearly singular covariances succeed through jitter escalation."""
         h = KernelHyper(variance=1.0, length_scale=200.0)
         factor = build_cov_factor(GRID, h)
-        assert np.all(np.isfinite(factor.lower))
+        assert np.all(np.isfinite(factor.lower_y))
+        assert np.all(np.isfinite(factor.lower_x))
 
 
 class TestSampleField:
@@ -114,18 +131,21 @@ class TestSampleField:
     @pytest.mark.parametrize(
         "tile_size, n_tiles", [((2.5, 2.0), 350), ((1.0, 1.0), 1750)]
     )
-    def test_blocked_draw_matches_full_product(self, tile_size, n_tiles):
-        """The triangular row-block product equals L @ z to rounding on
-        the 350- and 1,750-tile grids."""
+    def test_draw_matches_kronecker_product(self, tile_size, n_tiles):
+        """A draw equals scale * (L_y kron L_x) @ z to rounding on the 350-
+        and 1,750-tile grids, for the same standard normals z."""
         grid = CourtGrid(tile_size=tile_size)
         factor = build_cov_factor(grid, KernelHyper(variance=2.0, length_scale=5.0))
         draw = sample_field(factor, np.random.default_rng(11))
         z = np.random.default_rng(11).standard_normal(factor.dim)
+        full = factor.scale * np.kron(factor.lower_y, factor.lower_x)
         assert draw.shape == (n_tiles,)
-        np.testing.assert_allclose(draw, factor.lower @ z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(draw, full @ z, rtol=0, atol=1e-12)
 
     def test_cov_factor_is_plain_container(self):
-        lower = np.eye(3)
-        f = CovFactor(lower=lower, jitter=1e-6, dim=3)
+        f = CovFactor(lower_y=np.eye(2), lower_x=np.eye(3), scale=1.5, jitter=1e-6)
+        assert f.dim == 6
         draw = sample_field(f, np.random.default_rng(0))
-        np.testing.assert_allclose(draw, np.random.default_rng(0).standard_normal(3))
+        np.testing.assert_allclose(
+            draw, 1.5 * np.random.default_rng(0).standard_normal(6)
+        )

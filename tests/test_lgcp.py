@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from shotfactor import backend
 from shotfactor.court import CourtGrid
 from shotfactor.gp import KernelHyper, build_cov_factor
 from shotfactor.lgcp import (
@@ -156,9 +157,10 @@ class TestEssStep:
         """Gaussian noise around a latent field: chain mean approaches the
         analytic posterior mean K (K + s^2 I)^-1 y."""
         factor = build_cov_factor(SMALL, KernelHyper(variance=1.0, length_scale=2.0))
-        k = factor.lower @ factor.lower.T
+        full = factor.scale * np.kron(factor.lower_y, factor.lower_x)
+        k = full @ full.T
         rng = np.random.default_rng(29)
-        z_true = factor.lower @ rng.standard_normal(SMALL.n_tiles)
+        z_true = full @ rng.standard_normal(SMALL.n_tiles)
         s2 = 0.25
         y = z_true + math.sqrt(s2) * rng.standard_normal(SMALL.n_tiles)
         target = k @ np.linalg.solve(k + s2 * np.eye(SMALL.n_tiles), y)
@@ -241,6 +243,28 @@ class TestFitLgcp:
         assert np.all(var >= 0)
         alone = fit_lgcp(counts, factor, SMALL, cfg)
         np.testing.assert_array_equal(surface.values, alone.values)
+
+    def test_hoisted_loglik_equals_poisson_loglik(self, monkeypatch):
+        """Every likelihood fit_lgcp evaluates, with log(c!) summed once per
+        player, equals the full poisson_loglik of the same field."""
+        rng = np.random.default_rng(47)
+        counts = rng.poisson(5.0, size=SMALL.n_tiles)
+        factor = build_cov_factor(SMALL, KernelHyper())
+        kernel = backend.poisson_field_loglik
+        seen = []
+
+        def spy(counts_f, field, bias, area, log_norm=None):
+            value = kernel(counts_f, field, bias, area, log_norm)
+            seen.append((field.copy(), bias, area, log_norm, value))
+            return value
+
+        monkeypatch.setattr(backend, "poisson_field_loglik", spy)
+        fit_lgcp(counts, factor, SMALL, LgcpConfig(burn_in=5, n_samples=5, seed=3))
+        monkeypatch.undo()
+        assert len(seen) > 10
+        for field, bias, area, log_norm, value in seen:
+            assert log_norm is not None
+            assert value == poisson_loglik(counts, field, bias, area)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
