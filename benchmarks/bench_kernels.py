@@ -1,12 +1,9 @@
 """Time the compute kernels and the prior draw.
 
 Each kernel is fed inputs sized like the desk-scale problem (60 players,
-350 tiles, 4 components, about 30k shots) and timed best-of-N on the
-pure-numpy path.  When numba is importable, each JIT twin is warmed once (so
-compilation is not measured), timed beside it, and the largest absolute
-disagreement between the two is printed; it should sit within a few ulps
-of zero.  The GP prior draw (``gp.sample_field``) is timed on the 350-tile
-and 1,750-tile grids.
+350 tiles, 4 components, about 30k shots) and timed best-of-N.  The GP
+prior draw (``gp.sample_field``) is timed on the 350-tile and 1,750-tile
+grids.
 
 Run from the repository root:
 
@@ -31,12 +28,6 @@ def _time(fn, args, repeats):
         fn(*args)
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _max_diff(a, b):
-    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    return float(np.max(np.abs(a - b)))
 
 
 def build_cases(seed):
@@ -85,29 +76,13 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="input generation seed")
     args = parser.parse_args(argv)
 
-    print(f"repeats per kernel: {args.repeats}; numba: {backend.HAS_NUMBA}")
-    header = f"{'kernel':<30} {'numpy':>10}"
-    if backend.HAS_NUMBA:
-        header += f" {'numba':>10} {'speedup':>8} {'max diff':>10}"
+    print(f"repeats per kernel: {args.repeats}")
+    header = f"{'kernel':<30} {'time':>10}"
     print(header)
     print("-" * len(header))
     for name, inputs in build_cases(args.seed):
-        numpy_fn = getattr(backend, f"{name}_numpy")
-        t_numpy = _time(numpy_fn, inputs, args.repeats)
-        line = f"{name:<30} {t_numpy * 1e3:>8.3f}ms"
-        numba_fn = getattr(backend, f"{name}_numba", None)
-        if numba_fn is not None:
-            out_numba = numba_fn(*inputs)  # warm-up triggers compilation
-            out_numpy = numpy_fn(*inputs)
-            if isinstance(out_numpy, tuple):
-                diff = max(_max_diff(a, b) for a, b in zip(out_numpy, out_numba))
-            else:
-                diff = _max_diff(out_numpy, out_numba)
-            t_numba = _time(numba_fn, inputs, args.repeats)
-            line += (
-                f" {t_numba * 1e3:>8.3f}ms {t_numpy / t_numba:>7.1f}x {diff:>10.2e}"
-            )
-        print(line)
+        t_kernel = _time(getattr(backend, name), inputs, args.repeats)
+        print(f"{name:<30} {t_kernel * 1e3:>8.3f}ms")
     for tile_size in ((2.5, 2.0), (1.0, 1.0)):
         grid = CourtGrid(tile_size=tile_size)
         factor = build_cov_factor(grid, KernelHyper())

@@ -16,9 +16,14 @@ import ctypes
 import os
 import sys
 
-from .court import build_count_matrix, read_count_csv, read_shot_csv, write_count_csv
+from .court import (
+    build_count_matrix,
+    read_count_csv,
+    read_labeled_csv,
+    read_shot_csv,
+    write_count_csv,
+)
 from .evaluate import run_comparison, write_eval_report
-from .lgcp import read_surface_csv
 from .nmf import fit_nmf, write_factor_model
 from .pipeline import (
     StageError,
@@ -149,7 +154,7 @@ def cmd_factorize(args) -> int:
     config, out_dir = _resolve(args, k=args.k, loss=args.loss, restarts=args.restarts)
     if args.input == "lgcp":
         data_path = args.data or os.path.join(out_dir, "surfaces.csv")
-        players, matrix, _ = read_surface_csv(data_path)
+        players, matrix, _ = read_labeled_csv(data_path)
     else:
         data_path = args.data or os.path.join(out_dir, "counts.csv")
         matrix = read_count_csv(data_path)  # auto-jitter for raw counts
@@ -188,7 +193,7 @@ def cmd_evaluate(args) -> int:
         truth_path = candidate if os.path.exists(candidate) else None
     truth_bases = None
     if truth_path:
-        _, truth_bases, _ = read_surface_csv(truth_path)
+        _, truth_bases, _ = read_labeled_csv(truth_path)
     report = run_comparison(
         shots, grid, list(config.k_list), config.eval_config(), truth_bases
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -254,20 +254,72 @@ def _parse_grid_header(line: str) -> CourtGrid:
     return CourtGrid(width=nums[0], length=nums[1], tile_size=tile)
 
 
-def write_count_csv(path, cm: CountMatrix) -> None:
+def write_labeled_csv(
+    path, ids: Sequence[str], matrix, grid: CourtGrid | None = None
+) -> None:
+    """Write one labeled row per id, after a ``# grid`` header when given.
+
+    Integer matrices are written as integers, anything else as
+    ``repr(float)``, so a float64 matrix reads back bit for bit.
+    """
+    matrix = np.asarray(matrix)
+    if not np.issubdtype(matrix.dtype, np.integer):
+        matrix = matrix.astype(np.float64)
     with open(path, "w", newline="") as f:
-        f.write(_grid_header(cm.grid) + "\n")
+        if grid is not None:
+            f.write(_grid_header(grid) + "\n")
         writer = csv.writer(f)
-        for player, row in zip(cm.players, cm.counts):
-            writer.writerow([player] + [int(c) for c in row])
+        for name, row in zip(ids, matrix):
+            writer.writerow([name, *row.tolist()])
+
+
+def read_labeled_csv(
+    path, integer: bool = False
+) -> tuple[list[str], np.ndarray, CourtGrid | None]:
+    """Read a file written by write_labeled_csv: (ids, matrix, grid or None).
+
+    Every row must hold the grid's tile count of values (without a header,
+    the first row's count); an empty row, a value that does not parse, or
+    (with ``integer``) a non-integer value raises ValueError naming the
+    file and line.
+    """
+    parse = int if integer else float
+    ids, rows = [], []
+    grid, width = None, None
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        for row in reader:
+            line = reader.line_num
+            if line == 1 and row and row[0].startswith("#"):
+                try:
+                    grid = _parse_grid_header(row[0])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:1: {exc}") from exc
+                width = grid.n_tiles
+                continue
+            if not row:
+                raise ValueError(f"{path}:{line}: empty row")
+            if width is None:
+                width = len(row) - 1
+            if len(row) - 1 != width:
+                raise ValueError(
+                    f"{path}:{line}: {len(row) - 1} values, expected {width}"
+                )
+            try:
+                rows.append([parse(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from exc
+            ids.append(row[0])
+    matrix = np.array(rows, dtype=np.int64 if integer else np.float64)
+    return ids, matrix, grid
+
+
+def write_count_csv(path, cm: CountMatrix) -> None:
+    write_labeled_csv(path, cm.players, cm.counts, cm.grid)
 
 
 def read_count_csv(path) -> CountMatrix:
-    with open(path, newline="") as f:
-        grid = _parse_grid_header(f.readline())
-        players = []
-        rows = []
-        for row in csv.reader(f):
-            players.append(row[0])
-            rows.append([int(c) for c in row[1:]])
-    return CountMatrix(np.array(rows, dtype=np.int64), players, grid)
+    players, counts, grid = read_labeled_csv(path, integer=True)
+    if grid is None:
+        raise ValueError(f"{path}:1: missing grid header")
+    return CountMatrix(counts, players, grid)

@@ -9,7 +9,6 @@ elliptical slice sampling, and the variances are conjugate draws.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import backend
+from .court import read_labeled_csv, write_labeled_csv
 from .lgcp import ess_update
 from .nmf import FactorModel
 
@@ -333,28 +333,18 @@ def write_efficiency_csv(prefix, model: EfficiencyModel, players) -> list:
     """Write <prefix>_beta.csv (player rows) and <prefix>_global.csv."""
     beta_path = f"{prefix}_beta.csv"
     global_path = f"{prefix}_global.csv"
-    with open(beta_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for player, row in zip(players, model.beta):
-            writer.writerow([player] + [repr(float(x)) for x in row])
-    with open(global_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["beta0"] + [repr(float(x)) for x in model.beta0])
-        writer.writerow(["sigma2"] + [repr(float(x)) for x in model.sigma2])
+    write_labeled_csv(beta_path, players, model.beta)
+    write_labeled_csv(
+        global_path, ["beta0", "sigma2"], np.vstack([model.beta0, model.sigma2])
+    )
     return [beta_path, global_path]
 
 
 def read_efficiency_csv(prefix) -> tuple[EfficiencyModel, list[str]]:
-    players, rows = [], []
-    with open(f"{prefix}_beta.csv", newline="") as f:
-        for row in csv.reader(f):
-            players.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    labeled = {}
-    with open(f"{prefix}_global.csv", newline="") as f:
-        for row in csv.reader(f):
-            labeled[row[0]] = np.array([float(x) for x in row[1:]])
+    players, beta, _ = read_labeled_csv(f"{prefix}_beta.csv")
+    ids, rows, _ = read_labeled_csv(f"{prefix}_global.csv")
+    labeled = dict(zip(ids, rows))
     model = EfficiencyModel(
-        beta0=labeled["beta0"], sigma2=labeled["sigma2"], beta=np.array(rows)
+        beta0=labeled["beta0"], sigma2=labeled["sigma2"], beta=beta
     )
     return model, players

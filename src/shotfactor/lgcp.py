@@ -3,16 +3,15 @@ sampling, posterior-mean fitting, and unit-volume normalization."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import backend
-from .court import CourtGrid, _grid_header, _parse_grid_header
+from .court import CourtGrid
 from .gp import CovFactor, KernelHyper, sample_field
 
 _MAX_SHRINK = 1000
@@ -129,8 +128,7 @@ def fit_lgcp(
     grid: CourtGrid,
     config: LgcpConfig,
     rng: np.random.Generator | None = None,
-    return_variance: bool = False,
-):
+) -> IntensitySurface:
     """Posterior-mean intensity surface for one player's tile counts.
 
     Runs burn-in, then keeps every ``thinning``-th state and averages the
@@ -164,19 +162,12 @@ def fit_lgcp(
     for _ in range(config.burn_in):
         z, ll = ess_step(z, factor, loglik, rng, ll)
     mean = np.zeros(grid.n_tiles)
-    sq = np.zeros(grid.n_tiles)
     for _ in range(config.n_samples):
         for _ in range(config.thinning):
             z, ll = ess_step(z, factor, loglik, rng, ll)
-        lam = np.exp(z + bias)
-        mean += lam
-        sq += lam * lam
+        mean += np.exp(z + bias)
     mean /= config.n_samples
-    surface = IntensitySurface(mean, grid, normalized=False)
-    if return_variance:
-        var = np.maximum(sq / config.n_samples - mean * mean, 0.0)
-        return surface, var
-    return surface
+    return IntensitySurface(mean, grid, normalized=False)
 
 
 def normalize_unit_volume(
@@ -210,31 +201,3 @@ def fit_cohort(
         unit, volumes[i] = normalize_unit_volume(fitted)
         surfaces[i] = unit.values
     return surfaces, volumes
-
-
-# ---------------------------------------------------------------------------
-# Surface CSV persistence (shared by intensity, basis, and efficiency surfaces)
-# ---------------------------------------------------------------------------
-
-
-def write_surface_csv(
-    path, ids: Sequence[str], matrix: np.ndarray, grid: CourtGrid
-) -> None:
-    """Write one labeled row of tile values per id, with a grid header."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as f:
-        f.write(_grid_header(grid) + "\n")
-        writer = csv.writer(f)
-        for name, row in zip(ids, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
-
-
-def read_surface_csv(path) -> tuple[list[str], np.ndarray, CourtGrid]:
-    with open(path, newline="") as f:
-        grid = _parse_grid_header(f.readline())
-        ids = []
-        rows = []
-        for row in csv.reader(f):
-            ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
-    return ids, np.array(rows, dtype=np.float64), grid

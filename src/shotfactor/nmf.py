@@ -3,15 +3,13 @@ baseline.  Both losses use the classic multiplicative updates."""
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .court import CourtGrid
-from .lgcp import IntensitySurface
+from .court import read_labeled_csv, write_labeled_csv
 
 EPS_FLOOR = 1e-12
 
@@ -29,23 +27,6 @@ class NmfConfig:
     # Added to the data before fitting.  None means automatic: raw count
     # matrices get COUNT_JITTER, intensity matrices get nothing.
     jitter: float | None = None
-
-
-@dataclass(eq=False)
-class IntensityMatrix:
-    """Rows are unit-volume surfaces, one per player."""
-
-    matrix: np.ndarray
-    players: list[str]
-    grid: CourtGrid
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if np.any(self.matrix < 0):
-            raise ValueError("intensity matrix must be non-negative")
-        volumes = self.matrix.sum(axis=1) * self.grid.tile_area
-        if np.any(np.abs(volumes - 1.0) > 1e-9):
-            raise ValueError("every row must have unit volume within 1e-9")
 
 
 @dataclass(eq=False)
@@ -75,20 +56,7 @@ class PcaModel:
     explained_variance: np.ndarray
 
 
-def build_intensity_matrix(
-    surfaces: Sequence[IntensitySurface], players: Sequence[str]
-) -> IntensityMatrix:
-    if len(surfaces) != len(players):
-        raise ValueError("one surface per player required")
-    grid = surfaces[0].grid
-    return IntensityMatrix(
-        np.vstack([s.values for s in surfaces]), list(players), grid
-    )
-
-
 def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, IntensityMatrix):
-        return data.matrix
     if hasattr(data, "counts"):  # CountMatrix
         return np.asarray(data.counts, dtype=np.float64)
     return np.asarray(data, dtype=np.float64)
@@ -213,13 +181,6 @@ def fit_nmf(data, k: int, loss: str = "kl", config: NmfConfig | None = None) -> 
     return best
 
 
-def reconstruct(model: FactorModel, n: int) -> np.ndarray:
-    """Player n's reconstruction sum_k W[n, k] * B[k, :]."""
-    if not 0 <= n < model.weights.shape[0]:
-        raise IndexError(f"player index {n} out of range")
-    return model.weights[n] @ model.bases
-
-
 # ---------------------------------------------------------------------------
 # PCA baseline
 # ---------------------------------------------------------------------------
@@ -268,14 +229,8 @@ def write_factor_model(prefix, model: FactorModel, players: Sequence[str]) -> li
     w_path = f"{prefix}_W.csv"
     b_path = f"{prefix}_B.csv"
     m_path = f"{prefix}_manifest.txt"
-    with open(w_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for player, row in zip(players, model.weights):
-            writer.writerow([player] + [repr(float(x)) for x in row])
-    with open(b_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for i, row in enumerate(model.bases):
-            writer.writerow([f"basis{i}"] + [repr(float(x)) for x in row])
+    write_labeled_csv(w_path, players, model.weights)
+    write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases)
     with open(m_path, "w") as f:
         json.dump(
             {
@@ -296,17 +251,8 @@ def write_factor_model(prefix, model: FactorModel, players: Sequence[str]) -> li
 def read_factor_model(prefix) -> tuple[FactorModel, list[str]]:
     with open(f"{prefix}_manifest.txt") as f:
         meta = json.load(f)
-
-    def load(path):
-        ids, rows = [], []
-        with open(path, newline="") as f:
-            for row in csv.reader(f):
-                ids.append(row[0])
-                rows.append([float(x) for x in row[1:]])
-        return ids, np.array(rows)
-
-    players, weights = load(f"{prefix}_W.csv")
-    _, bases = load(f"{prefix}_B.csv")
+    players, weights, _ = read_labeled_csv(f"{prefix}_W.csv")
+    _, bases, _ = read_labeled_csv(f"{prefix}_B.csv")
     model = FactorModel(
         weights=weights,
         bases=bases,

@@ -23,10 +23,12 @@ from .court import (
     CourtGrid,
     build_count_matrix,
     read_count_csv,
+    read_labeled_csv,
     read_shot_csv,
     split_holdout,
     tile_indices,
     write_count_csv,
+    write_labeled_csv,
     write_shot_csv,
 )
 from .efficiency import (
@@ -38,7 +40,7 @@ from .efficiency import (
 )
 from .evaluate import EvalConfig, compare_surfaces, write_eval_report
 from .gp import KernelHyper, build_cov_factor
-from .lgcp import LgcpConfig, fit_cohort, read_surface_csv, write_surface_csv
+from .lgcp import LgcpConfig, fit_cohort
 from .nmf import NmfConfig, fit_nmf, read_factor_model, write_factor_model
 from .synth import SynthConfig
 
@@ -264,7 +266,7 @@ def fit_surfaces_artifact(cm, config: PipelineConfig, surf_path, meta_path) -> N
     grid = cm.grid
     factor = build_cov_factor(grid, config.hyper())
     surfaces, volumes = fit_cohort(cm.counts, factor, grid, config.lgcp_config())
-    write_surface_csv(surf_path, cm.players, surfaces, grid)
+    write_labeled_csv(surf_path, cm.players, surfaces, grid)
     with open(meta_path, "w") as f:
         json.dump(
             {
@@ -314,7 +316,7 @@ def efficiency_artifacts(
         [efficiency_surface(loadings, fit.model)]
         + [efficiency_surface(loadings, fit.model, i) for i in range(len(players))]
     )
-    write_surface_csv(surfaces_path, ids, rows, grid)
+    write_labeled_csv(surfaces_path, ids, rows, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ def run_pipeline(config: PipelineConfig, out_dir=None, log=print) -> dict:
     ]
 
     def stage_factorize():
-        players, matrix, _ = read_surface_csv(paths["surfaces"])
+        players, matrix, _ = read_labeled_csv(paths["surfaces"])
         model = fit_nmf(matrix, config.k, loss=config.loss, config=config.nmf_config())
         write_factor_model(paths["factors"], model, players)
 
@@ -426,13 +428,13 @@ def run_pipeline(config: PipelineConfig, out_dir=None, log=print) -> dict:
     def stage_evaluate():
         cm_train = read_count_csv(paths["counts_train"])
         cm_test = read_count_csv(paths["counts_test"])
-        players, surfaces, _ = read_surface_csv(paths["surfaces"])
+        players, surfaces, _ = read_labeled_csv(paths["surfaces"])
         with open(paths["surfaces_meta"]) as f:
             volumes_map = json.load(f)["volumes"]
         volumes = np.array([volumes_map[player] for player in players])
         truth_bases = None
         if os.path.exists(truth_path):
-            _, truth_bases, _ = read_surface_csv(truth_path)
+            _, truth_bases, _ = read_labeled_csv(truth_path)
         report = compare_surfaces(
             cm_train,
             cm_test,

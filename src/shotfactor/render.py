@@ -11,8 +11,7 @@ import os
 
 import numpy as np
 
-from .court import CourtGrid
-from .lgcp import read_surface_csv
+from .court import CourtGrid, read_labeled_csv
 
 
 def render_heatmap(values: np.ndarray, grid: CourtGrid, path) -> None:
@@ -55,7 +54,9 @@ def read_heatmap(path) -> np.ndarray:
 
 def render_surface_csv(csv_path, out_dir) -> list:
     """Render every row of a shared-format surface CSV to <out>/<id>.pgm."""
-    ids, matrix, grid = read_surface_csv(csv_path)
+    ids, matrix, grid = read_labeled_csv(csv_path)
+    if grid is None:
+        raise ValueError(f"{csv_path}:1: missing grid header")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, row in zip(ids, matrix):

@@ -9,18 +9,15 @@ so generation is reproducible and order-independent.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from . import backend
-from .court import CourtGrid, ShotEvent, tile_indices, write_shot_csv
-from .lgcp import write_surface_csv
+from .court import CourtGrid, ShotEvent, tile_indices, write_labeled_csv, write_shot_csv
 
 # Basket center in court coordinates: centered across the width, a few feet
 # up from the baseline (which sits at y = 0).
@@ -226,16 +223,16 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
     shots_path = os.path.join(out_dir, "shots.csv")
     write_shot_csv(shots_path, shots)
     b_path = os.path.join(out_dir, "truth_B.csv")
-    write_surface_csv(
+    write_labeled_csv(
         b_path,
         [f"basis{i}" for i in range(config.k_star)],
         truth.bases,
         truth.grid,
     )
     w_path = os.path.join(out_dir, "truth_W.csv")
-    _write_labeled(w_path, truth.players, truth.weights)
+    write_labeled_csv(w_path, truth.players, truth.weights)
     beta_path = os.path.join(out_dir, "truth_beta.csv")
-    _write_labeled(beta_path, truth.players, truth.beta)
+    write_labeled_csv(beta_path, truth.players, truth.beta)
 
     manifest_path = os.path.join(out_dir, "synth_manifest.txt")
     grid = config.grid
@@ -265,19 +262,3 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
         "truth_beta": beta_path,
         "manifest": manifest_path,
     }
-
-
-def _write_labeled(path, ids: Sequence[str], matrix: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for label, row in zip(ids, matrix):
-            writer.writerow([label] + [repr(float(x)) for x in row])
-
-
-def read_labeled_csv(path) -> tuple[list[str], np.ndarray]:
-    ids, rows = [], []
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            ids.append(row[0])
-            rows.append([float(x) for x in row[1:]])
-    return ids, np.array(rows)

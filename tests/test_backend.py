@@ -1,20 +1,13 @@
 """Kernel-level checks: each compute kernel against an independent
-reference, and the JIT path against the pure-numpy path."""
+reference."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 from scipy.special import expit
 from scipy.stats import poisson
 
 from shotfactor import backend as bk
-
-needs_numba = pytest.mark.skipif(not bk.HAS_NUMBA, reason="numba unavailable")
-
 
 def _random_loglik_case(rng, v=40):
     counts = rng.poisson(3.0, size=v).astype(np.float64)
@@ -40,15 +33,6 @@ class TestPoissonFieldLoglik:
             np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0
         )
         np.testing.assert_allclose(got, -1.3068528194400546, rtol=1e-14)
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            counts, field, bias, area = _random_loglik_case(rng)
-            a = bk.poisson_field_loglik_numpy(counts, field, bias, area)
-            b = bk.poisson_field_loglik_numba(counts, field, bias, area)
-            np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 class TestBernoulliLogitsLoglik:
@@ -78,17 +62,6 @@ class TestBernoulliLogitsLoglik:
             np.zeros(4), np.zeros(4), np.array([-5.0, 0.0, 2.0, 30.0])
         )
         assert got == 0.0
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            attempts = rng.integers(0, 100, size=25).astype(np.float64)
-            makes = (attempts * rng.random(25)).round()
-            logits = rng.normal(0, 5, size=25)
-            a = bk.bernoulli_logits_loglik_numpy(makes, attempts, logits)
-            b = bk.bernoulli_logits_loglik_numba(makes, attempts, logits)
-            np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def _random_mixture(rng, n=6, k=4, v=30):
@@ -140,19 +113,6 @@ class TestDrawTypeIndices:
         )
         np.testing.assert_array_equal(got, [1, 1, 1, 1, 1])
 
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(19)
-        for _ in range(20):
-            weights, bases = _random_mixture(rng)
-            s = 100
-            players = rng.integers(0, 6, size=s)
-            tiles = rng.integers(0, 30, size=s)
-            uniforms = rng.random(s)
-            a = bk.draw_type_indices_numpy(weights, bases, players, tiles, uniforms)
-            b = bk.draw_type_indices_numba(weights, bases, players, tiles, uniforms)
-            np.testing.assert_array_equal(a, b)
-
 
 class TestSqExpMatrix:
     def test_matches_direct_expression(self):
@@ -189,17 +149,6 @@ class TestAggregateOutcomes:
         np.testing.assert_array_equal(attempts, exp_attempts)
         assert attempts.sum() == s
 
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(41)
-        players = rng.integers(0, 10, size=300)
-        types = rng.integers(0, 4, size=300)
-        made = rng.integers(0, 2, size=300)
-        a = bk.aggregate_outcomes_numpy(players, types, made, 10, 4)
-        b = bk.aggregate_outcomes_numba(players, types, made, 10, 4)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
 
 class TestMixtureProbabilitySurface:
     def test_matches_manual_mixture(self):
@@ -226,40 +175,3 @@ class TestMixtureProbabilitySurface:
             logits = rng.normal(0, 3, size=4)
             got = bk.mixture_probability_surface(weights[0], bases, logits)
             assert np.all(got > 0) and np.all(got < 1)
-
-    @needs_numba
-    def test_paths_agree(self):
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            weights, bases = _random_mixture(rng, n=1)
-            logits = rng.normal(0, 2, size=4)
-            a = bk.mixture_probability_surface_numpy(weights[0], bases, logits)
-            b = bk.mixture_probability_surface_numba(weights[0], bases, logits)
-            np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-class TestBackendSelection:
-    def test_flag_exposed(self):
-        assert bk.BACKEND in ("numba", "numpy")
-
-    def test_numpy_flag_forces_numpy(self):
-        env = dict(os.environ, SHOTFACTOR_BACKEND="numpy")
-        out = subprocess.run(
-            [sys.executable, "-c", "import shotfactor; print(shotfactor.BACKEND)"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_invalid_flag_rejected(self):
-        env = dict(os.environ, SHOTFACTOR_BACKEND="cuda")
-        out = subprocess.run(
-            [sys.executable, "-c", "import shotfactor"],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "SHOTFACTOR_BACKEND" in out.stderr

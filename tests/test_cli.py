@@ -8,8 +8,7 @@ import pytest
 
 from shotfactor import cli
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
-from shotfactor.court import read_count_csv
-from shotfactor.lgcp import read_surface_csv
+from shotfactor.court import read_count_csv, read_labeled_csv
 from shotfactor.nmf import read_factor_model
 from shotfactor.pipeline import STAGE_CODES, PipelineConfig, parse_config_file
 
@@ -222,7 +221,7 @@ class TestStageCommands:
         config = workspace["config"]
         assert main(["ingest", "--config", config, "--out", out]) == 0
         assert main(["fit-lgcp", "--config", config, "--out", out]) == 0
-        players, surfaces, grid = read_surface_csv(tmp_path / "surfaces.csv")
+        players, surfaces, grid = read_labeled_csv(tmp_path / "surfaces.csv")
         assert len(players) == 6
         np.testing.assert_allclose(
             surfaces.sum(axis=1) * grid.tile_area, np.ones(6), rtol=1e-9
@@ -364,6 +363,21 @@ class TestPipelineCommand:
         assert "[ingest] done" in out
         assert "up to date" not in out
         assert (tmp_path / "artifacts" / "counts_train.csv").read_bytes() != before
+
+    def test_edited_truth_fails_evaluate_with_location(
+        self, workspace, tmp_path, capsys
+    ):
+        """A line appended to truth_B.csv fails the evaluate stage with a
+        message naming the file and the added line."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace["root"] / "data", data)
+        truth = data / "truth_B.csv"
+        added = len(truth.read_bytes().splitlines()) + 1
+        with open(truth, "a") as f:
+            f.write("# edited\n")
+        config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
+        assert main(["pipeline", "--config", config_path]) == STAGE_CODES["evaluate"]
+        assert f"truth_B.csv:{added}:" in capsys.readouterr().err
 
     def test_corrupted_intermediate_reruns_stage(self, workspace, tmp_path, capsys):
         """A checksum mismatch triggers regeneration of that stage."""

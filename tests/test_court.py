@@ -10,13 +10,18 @@ from shotfactor.court import (
     ShotEvent,
     build_count_matrix,
     read_count_csv,
+    read_labeled_csv,
     read_shot_csv,
     split_holdout,
     tile_index,
     tile_indices,
     write_count_csv,
+    write_labeled_csv,
     write_shot_csv,
 )
+from shotfactor.efficiency import EfficiencyModel, write_efficiency_csv
+from shotfactor.nmf import FactorModel, write_factor_model
+from shotfactor.synth import SynthConfig, generate_dataset
 
 DESK = CourtGrid(tile_size=(2.5, 2.0))
 
@@ -243,3 +248,139 @@ class TestCountCsvRoundTrip:
         path = tmp_path / "counts.csv"
         write_count_csv(path, cm)
         assert read_count_csv(path).grid == g
+
+
+# a two-tile court, square and anisotropic
+TWO = CourtGrid(width=2.0, length=1.0, tile_size=1.0)
+TWO_ANISO = CourtGrid(width=2.0, length=2.0, tile_size=(1.0, 2.0))
+SURFACE_ROWS = np.array([[0.1, 1 / 3], [2.5e-300, -0.0]])
+
+
+class TestLabeledCsvGoldenBytes:
+    """Every labeled-matrix artifact, written through the shared writer,
+    pinned to its exact bytes: ints as ints, floats as repr, csv row ends."""
+
+    def test_counts(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_count_csv(path, CountMatrix(np.array([[0, 3], [12, 1]]), ["a", "b"], TWO))
+        assert path.read_bytes() == b"# grid 2.0 1.0 1.0\na,0,3\r\nb,12,1\r\n"
+
+    def test_surfaces_square_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_labeled_csv(path, ["p0", "global"], SURFACE_ROWS, TWO)
+        assert path.read_bytes() == (
+            b"# grid 2.0 1.0 1.0\n"
+            b"p0,0.1,0.3333333333333333\r\nglobal,2.5e-300,-0.0\r\n"
+        )
+
+    def test_surfaces_anisotropic_header(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_labeled_csv(path, ["p0", "global"], SURFACE_ROWS, TWO_ANISO)
+        assert path.read_bytes() == (
+            b"# grid 2.0 2.0 1.0 2.0\n"
+            b"p0,0.1,0.3333333333333333\r\nglobal,2.5e-300,-0.0\r\n"
+        )
+
+    def test_factor_w_and_b(self, tmp_path):
+        model = FactorModel(
+            weights=np.array([[0.5, 1.25], [3.0, 1e-12]]),
+            bases=np.array([[0.1, 0.9], [0.75, 0.25]]),
+            loss="kl",
+            final_loss=0.5,
+            trace=np.array([0.5]),
+            n_iters=3,
+        )
+        write_factor_model(tmp_path / "f", model, ["a", "b"])
+        assert (tmp_path / "f_W.csv").read_bytes() == b"a,0.5,1.25\r\nb,3.0,1e-12\r\n"
+        assert (tmp_path / "f_B.csv").read_bytes() == (
+            b"basis0,0.1,0.9\r\nbasis1,0.75,0.25\r\n"
+        )
+
+    def test_efficiency_beta_and_global(self, tmp_path):
+        model = EfficiencyModel(
+            beta0=np.array([-0.5, 0.25]),
+            sigma2=np.array([0.1, 2.0]),
+            beta=np.array([[-0.4, 1 / 3], [0.0, -1.5]]),
+        )
+        write_efficiency_csv(tmp_path / "e", model, ["a", "b"])
+        assert (tmp_path / "e_beta.csv").read_bytes() == (
+            b"a,-0.4,0.3333333333333333\r\nb,0.0,-1.5\r\n"
+        )
+        assert (tmp_path / "e_global.csv").read_bytes() == (
+            b"beta0,-0.5,0.25\r\nsigma2,0.1,2.0\r\n"
+        )
+
+    def test_synth_truth_weights(self, tmp_path):
+        """One planted basis gives every player the weight 1.0 exactly."""
+        config = SynthConfig(n_players=2, k_star=1, budget_range=(1, 1), grid=TWO)
+        files = generate_dataset(config, tmp_path)
+        with open(files["truth_W"], "rb") as f:
+            assert f.read() == b"p00,1.0\r\np01,1.0\r\n"
+
+
+class TestLabeledCsvReader:
+    def _counts_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        write_count_csv(path, CountMatrix(np.array([[0, 3], [12, 1]]), ["a", "b"], TWO))
+        return path
+
+    def _append(self, path, text):
+        with open(path, "a", newline="") as f:
+            f.write(text)
+
+    def test_round_trip_without_header(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_labeled_csv(path, ["a", "b"], SURFACE_ROWS)
+        ids, matrix, grid = read_labeled_csv(path)
+        assert ids == ["a", "b"] and grid is None
+        np.testing.assert_array_equal(matrix, SURFACE_ROWS)
+
+    def test_short_count_row_names_file_and_line(self, tmp_path):
+        path = self._counts_file(tmp_path)
+        self._append(path, "c,4\r\n")
+        with pytest.raises(ValueError, match=r"counts\.csv:4: 1 values, expected 2"):
+            read_count_csv(path)
+
+    def test_trailing_comment_line_rejected(self, tmp_path):
+        path = tmp_path / "truth_B.csv"
+        write_labeled_csv(path, ["basis0"], SURFACE_ROWS[:1], TWO)
+        self._append(path, "# edited\n")
+        with pytest.raises(ValueError, match=r"truth_B\.csv:3: 0 values"):
+            read_labeled_csv(path)
+
+    def test_row_length_checked_against_first_row_without_header(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("a,1.0,2.0\nb,1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match=r"w\.csv:2: 3 values, expected 2"):
+            read_labeled_csv(path)
+
+    def test_empty_row_rejected(self, tmp_path):
+        path = self._counts_file(tmp_path)
+        self._append(path, "\r\nc,1,1\r\n")
+        with pytest.raises(ValueError, match=r"counts\.csv:4: empty row"):
+            read_count_csv(path)
+
+    def test_unparseable_value_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_labeled_csv(path, ["p0"], SURFACE_ROWS[:1], TWO)
+        self._append(path, "p1,0.5,abc\r\n")
+        with pytest.raises(ValueError, match=r"s\.csv:3: .*'abc'"):
+            read_labeled_csv(path)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        path = self._counts_file(tmp_path)
+        self._append(path, "c,1.5,2\r\n")
+        with pytest.raises(ValueError, match=r"counts\.csv:4: .*'1\.5'"):
+            read_count_csv(path)
+
+    def test_counts_need_grid_header(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("a,1,2\n")
+        with pytest.raises(ValueError, match=r"counts\.csv:1: missing grid header"):
+            read_count_csv(path)
+
+    def test_malformed_grid_header_names_line_one(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# grid 2.0 1.0\np0,0.5,0.5\n")
+        with pytest.raises(ValueError, match=r"s\.csv:1: malformed grid header"):
+            read_labeled_csv(path)

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import poisson
 
 from shotfactor import backend
-from shotfactor.court import CourtGrid
+from shotfactor.court import CourtGrid, read_labeled_csv, write_labeled_csv
 from shotfactor.gp import KernelHyper, build_cov_factor
 from shotfactor.lgcp import (
     IntensitySurface,
@@ -21,8 +21,6 @@ from shotfactor.lgcp import (
     normalize_unit_volume,
     poisson_count_loglik,
     poisson_loglik,
-    read_surface_csv,
-    write_surface_csv,
 )
 
 SMALL = CourtGrid(width=5.0, length=4.0, tile_size=1.0)
@@ -233,17 +231,6 @@ class TestFitLgcp:
         c = fit_lgcp(counts, factor, SMALL, LgcpConfig(burn_in=50, n_samples=50, seed=10))
         assert not np.array_equal(a.values, c.values)
 
-    def test_variance_output(self):
-        rng = np.random.default_rng(43)
-        counts = rng.poisson(5.0, size=SMALL.n_tiles)
-        factor = build_cov_factor(SMALL, KernelHyper())
-        cfg = LgcpConfig(burn_in=50, n_samples=80, seed=4)
-        surface, var = fit_lgcp(counts, factor, SMALL, cfg, return_variance=True)
-        assert var.shape == (SMALL.n_tiles,)
-        assert np.all(var >= 0)
-        alone = fit_lgcp(counts, factor, SMALL, cfg)
-        np.testing.assert_array_equal(surface.values, alone.values)
-
     def test_hoisted_loglik_equals_poisson_loglik(self, monkeypatch):
         """Every likelihood fit_lgcp evaluates, with log(c!) summed once per
         player, equals the full poisson_loglik of the same field."""
@@ -329,14 +316,14 @@ class TestSurfaceCsv:
         matrix = rng.uniform(0, 3, size=(4, DESK.n_tiles))
         ids = ["p0", "p1", "p2", "global"]
         path = tmp_path / "surfaces.csv"
-        write_surface_csv(path, ids, matrix, DESK)
-        back_ids, back, grid = read_surface_csv(path)
+        write_labeled_csv(path, ids, matrix, DESK)
+        back_ids, back, grid = read_labeled_csv(path)
         assert back_ids == ids
         assert grid == DESK
         np.testing.assert_array_equal(back, matrix)
 
     def test_anisotropic_grid_header_survives(self, tmp_path):
         path = tmp_path / "s.csv"
-        write_surface_csv(path, ["a"], np.ones((1, DESK.n_tiles)), DESK)
-        _, _, grid = read_surface_csv(path)
+        write_labeled_csv(path, ["a"], np.ones((1, DESK.n_tiles)), DESK)
+        _, _, grid = read_labeled_csv(path)
         assert grid.tile_dims == (2.5, 2.0)

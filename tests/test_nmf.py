@@ -6,14 +6,10 @@ import pytest
 from scipy.stats import entropy
 
 from shotfactor.court import CountMatrix, CourtGrid
-from shotfactor.lgcp import IntensitySurface
 from shotfactor.nmf import (
     COUNT_JITTER,
     EPS_FLOOR,
-    FactorModel,
-    IntensityMatrix,
     NmfConfig,
-    build_intensity_matrix,
     fit_nmf,
     fit_pca,
     frobenius_loss,
@@ -22,7 +18,6 @@ from shotfactor.nmf import (
     nmf_step_kl,
     pca_reconstruct,
     read_factor_model,
-    reconstruct,
     write_factor_model,
 )
 
@@ -296,82 +291,6 @@ class TestFitNmf:
         plain = fit_nmf(counts.astype(float), 2, "kl", NmfConfig(seed=1, jitter=0.0))
         overridden = fit_nmf(cm, 2, "kl", NmfConfig(seed=1, jitter=0.0))
         np.testing.assert_array_equal(plain.weights, overridden.weights)
-
-
-class TestIntensityMatrix:
-    GRID = CourtGrid(width=4.0, length=5.0, tile_size=1.0)
-
-    def _unit_rows(self, n):
-        rng = np.random.default_rng(53)
-        rows = rng.uniform(0.1, 1.0, size=(n, self.GRID.n_tiles))
-        return rows / (rows.sum(axis=1, keepdims=True) * self.GRID.tile_area)
-
-    def test_accepts_unit_volume_rows(self):
-        m = IntensityMatrix(self._unit_rows(3), ["a", "b", "c"], self.GRID)
-        assert m.matrix.shape == (3, 20)
-
-    def test_rejects_non_unit_rows(self):
-        rows = self._unit_rows(2)
-        rows[1] *= 1.01
-        with pytest.raises(ValueError, match="unit volume"):
-            IntensityMatrix(rows, ["a", "b"], self.GRID)
-
-    def test_rejects_negative_entries(self):
-        rows = self._unit_rows(2)
-        rows[0, 0] = -rows[0, 0]
-        with pytest.raises(ValueError, match="non-negative"):
-            IntensityMatrix(rows, ["a", "b"], self.GRID)
-
-    def test_build_from_surfaces(self):
-        rows = self._unit_rows(2)
-        surfaces = [IntensitySurface(r, self.GRID, normalized=True) for r in rows]
-        m = build_intensity_matrix(surfaces, ["a", "b"])
-        np.testing.assert_array_equal(m.matrix, rows)
-        assert m.players == ["a", "b"]
-
-    def test_build_length_mismatch(self):
-        rows = self._unit_rows(2)
-        surfaces = [IntensitySurface(r, self.GRID, normalized=True) for r in rows]
-        with pytest.raises(ValueError):
-            build_intensity_matrix(surfaces, ["a"])
-
-
-class TestReconstruct:
-    def _model(self, w, b):
-        return FactorModel(
-            weights=np.asarray(w, float),
-            bases=np.asarray(b, float),
-            loss="kl",
-            final_loss=0.0,
-            trace=np.zeros(1),
-            n_iters=0,
-        )
-
-    def test_unit_weight_row_returns_basis(self):
-        b = np.arange(8.0).reshape(2, 4)
-        model = self._model([[0.0, 1.0]], b)
-        np.testing.assert_array_equal(reconstruct(model, 0), b[1])
-
-    def test_linearity_and_superposition(self):
-        rng = np.random.default_rng(59)
-        w = rng.uniform(size=(3, 2))
-        b = rng.uniform(size=(2, 6))
-        model = self._model(w, b)
-        doubled = self._model(2 * w, b)
-        np.testing.assert_allclose(
-            reconstruct(doubled, 1), 2 * reconstruct(model, 1), rtol=1e-12
-        )
-        summed = self._model([w[0] + w[1]], b)
-        np.testing.assert_allclose(
-            reconstruct(summed, 0),
-            reconstruct(model, 0) + reconstruct(model, 1),
-            rtol=1e-12,
-        )
-
-    def test_index_out_of_range(self):
-        model = self._model(np.ones((2, 2)), np.ones((2, 3)))
-        with pytest.raises(IndexError):
-            reconstruct(model, 2)
 
 
 class TestFitPca:

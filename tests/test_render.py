@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from shotfactor.court import CourtGrid
-from shotfactor.lgcp import write_surface_csv
+from shotfactor.court import CourtGrid, write_labeled_csv
 from shotfactor.render import read_heatmap, render_heatmap, render_surface_csv
 
 
@@ -101,7 +100,7 @@ class TestRenderSurfaceCsv:
         rng = np.random.default_rng(42)
         matrix = rng.uniform(0.0, 1.0, size=(3, grid.n_tiles))
         csv_path = tmp_path / "surfaces.csv"
-        write_surface_csv(csv_path, ["alpha", "b/ad name", "p03"], matrix, grid)
+        write_labeled_csv(csv_path, ["alpha", "b/ad name", "p03"], matrix, grid)
         out_dir = tmp_path / "img"
         paths = render_surface_csv(csv_path, out_dir)
         assert [p.split("/")[-1] for p in paths] == [

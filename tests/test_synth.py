@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from shotfactor.court import CourtGrid, read_shot_csv, tile_indices
+from shotfactor.court import CourtGrid, read_labeled_csv, read_shot_csv, tile_indices
 from shotfactor.synth import (
     PlantedTruth,
     SynthConfig,
@@ -14,7 +14,6 @@ from shotfactor.synth import (
     generate_shots,
     make_planted_bases,
     make_planted_truth,
-    read_labeled_csv,
     sample_outcomes,
     sample_player_shots,
 )
@@ -291,10 +290,10 @@ class TestGenerateDataset:
         files = generate_dataset(config, tmp_path)
         shots = read_shot_csv(files["shots"], DESK)
         assert len(shots) == len(generate_shots(truth, config.seed))
-        ids, weights = read_labeled_csv(files["truth_W"])
+        ids, weights, _ = read_labeled_csv(files["truth_W"])
         assert ids == truth.players
         np.testing.assert_array_equal(weights, truth.weights)
-        _, beta = read_labeled_csv(files["truth_beta"])
+        _, beta, _ = read_labeled_csv(files["truth_beta"])
         np.testing.assert_array_equal(beta, truth.beta)
 
     def test_manifest_records_config(self, tmp_path):
