@@ -5,7 +5,8 @@ and elliptical slice sampling, stacked and factorized into non-negative
 bases, and topped with a hierarchical per-basis efficiency model.
 """
 
-# Set before the submodule imports: the pipeline keys its resume on it.
+# The one place the version is set: pyproject.toml reads it, and the
+# pipeline keys every stage on it, so it is set before the submodule imports.
 __version__ = "0.2.0"
 
 from .court import (
@@ -43,7 +44,6 @@ from .evaluate import (
     basis_recovery_score,
     empirical_correlation,
     heldout_loglik,
-    run_comparison,
 )
 from .gp import CovFactor, KernelHyper, build_cov_factor, sample_field, squared_exponential
 from .lgcp import (
@@ -129,7 +129,6 @@ __all__ = [
     "read_labeled_csv",
     "read_shot_csv",
     "render_heatmap",
-    "run_comparison",
     "run_pipeline",
     "sample_field",
     "sample_outcomes",

@@ -4,6 +4,11 @@ Every subcommand shares --config/--seed/--out; flags beat config-file keys,
 and the SHOTFACTOR_OUT environment variable beats the config's output
 directory (the only environment knob there is).
 
+``pipeline`` runs every stage; each stage subcommand (``ingest``,
+``fit-lgcp``, ``factorize``, ``fit-efficiency``, ``evaluate``) runs its
+stage through the same runner, after the stages whose outputs it reads,
+which skip when they are up to date.
+
 Each subcommand runs with every loaded OpenBLAS held to one thread, so its
 artifacts do not depend on the BLAS thread count (see ``one_blas_thread``).
 """
@@ -16,22 +21,7 @@ import ctypes
 import os
 import sys
 
-from .court import (
-    build_count_matrix,
-    read_count_csv,
-    read_labeled_csv,
-    read_shot_csv,
-    write_count_csv,
-)
-from .evaluate import run_comparison, write_eval_report
-from .nmf import fit_nmf, write_factor_model
-from .pipeline import (
-    StageError,
-    efficiency_artifacts,
-    fit_surfaces_artifact,
-    load_config,
-    run_pipeline,
-)
+from .pipeline import StageError, load_config, run_pipeline
 from .render import render_surface_csv
 from .synth import generate_dataset
 
@@ -128,81 +118,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_ingest(args) -> int:
-    config, out_dir = _resolve(args, shots=args.shots)
-    grid = config.grid()
-    shots = read_shot_csv(config.shots, grid)
-    cm = build_count_matrix(shots, grid, min_attempts=config.min_attempts)
-    path = os.path.join(out_dir, "counts.csv")
-    write_count_csv(path, cm)
-    print(f"{len(cm.players)} players x {grid.n_tiles} tiles -> {path}")
-    return 0
-
-
-def cmd_fit_lgcp(args) -> int:
-    config, out_dir = _resolve(args)
-    counts_path = args.counts or os.path.join(out_dir, "counts.csv")
-    cm = read_count_csv(counts_path)
-    surf_path = os.path.join(out_dir, "surfaces.csv")
-    meta_path = os.path.join(out_dir, "surfaces_meta.txt")
-    fit_surfaces_artifact(cm, config, surf_path, meta_path)
-    print(f"fitted {len(cm.players)} surfaces -> {surf_path}")
-    return 0
-
-
-def cmd_factorize(args) -> int:
-    config, out_dir = _resolve(args, k=args.k, loss=args.loss, restarts=args.restarts)
-    if args.input == "lgcp":
-        data_path = args.data or os.path.join(out_dir, "surfaces.csv")
-        players, matrix, _ = read_labeled_csv(data_path)
-    else:
-        data_path = args.data or os.path.join(out_dir, "counts.csv")
-        matrix = read_count_csv(data_path)  # auto-jitter for raw counts
-        players = matrix.players
-    model = fit_nmf(matrix, config.k, loss=config.loss, config=config.nmf_config())
-    prefix = os.path.join(out_dir, f"factors_{config.loss}_k{config.k}")
-    write_factor_model(prefix, model, players)
-    print(
-        f"K={config.k} {config.loss} loss {model.final_loss:.6g} "
-        f"after {model.n_iters} iterations -> {prefix}_*.csv"
-    )
-    return 0
-
-
-def cmd_fit_efficiency(args) -> int:
-    config, out_dir = _resolve(args, shots=args.shots)
-    prefix = args.factors or os.path.join(
-        out_dir, f"factors_{config.loss}_k{config.k}"
-    )
-    out_prefix = os.path.join(out_dir, "efficiency")
-    surfaces_path = os.path.join(out_dir, "efficiency_surfaces.csv")
-    efficiency_artifacts(
-        prefix, config.shots, config.grid(), config, out_prefix, surfaces_path
-    )
-    print(f"efficiency model -> {out_prefix}_beta.csv, {surfaces_path}")
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    config, out_dir = _resolve(args, shots=args.shots)
-    grid = config.grid()
-    shots = read_shot_csv(config.shots, grid)
-    truth_path = args.truth
-    if truth_path is None:
-        candidate = os.path.join(os.path.dirname(config.shots), "truth_B.csv")
-        truth_path = candidate if os.path.exists(candidate) else None
-    truth_bases = None
-    if truth_path:
-        _, truth_bases, _ = read_labeled_csv(truth_path)
-    report = run_comparison(
-        shots, grid, list(config.k_list), config.eval_config(), truth_bases
-    )
-    files = write_eval_report(out_dir, report)
-    with open(files["text"]) as f:
-        print(f.read(), end="")
-    return 0
-
-
 def cmd_render(args) -> int:
     config, out_dir = _resolve(args)
     paths = render_surface_csv(args.surfaces, out_dir)
@@ -210,10 +125,13 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    config, out_dir = _resolve(args, shots=args.shots)
-    paths = run_pipeline(config, out_dir)
-    print(f"pipeline complete; report at {paths['eval_text']}")
+def cmd_run(args) -> int:
+    """Run the pipeline, or one stage after the stages it reads from."""
+    overrides = {n: getattr(args, n, None) for n in ("shots", "k", "loss", "restarts")}
+    config, out_dir = _resolve(args, **overrides)
+    outputs = run_pipeline(config, out_dir, stage=args.stage)
+    written = outputs[args.stage or "evaluate"]
+    print(f"{args.command} complete: {', '.join(written)}")
     return 0
 
 
@@ -228,31 +146,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset with truth")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="shot CSV to a count matrix")
+    p = sub.add_parser("ingest", help="split the shots and count them per tile")
     p.add_argument("--shots", help="input shot CSV (default from config)")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_run, stage="ingest")
 
     p = sub.add_parser("fit-lgcp", help="fit per-player intensity surfaces")
-    p.add_argument("--counts", help="count CSV (default <out>/counts.csv)")
-    p.set_defaults(func=cmd_fit_lgcp)
+    p.set_defaults(func=cmd_run, stage="lgcp")
 
-    p = sub.add_parser("factorize", help="factorize surfaces or raw counts")
+    p = sub.add_parser("factorize", help="factorize the intensity surfaces")
     p.add_argument("--k", type=int, help="number of bases")
     p.add_argument("--loss", choices=["kl", "frobenius"])
-    p.add_argument("--input", choices=["lgcp", "counts"], default="lgcp")
     p.add_argument("--restarts", type=int)
-    p.add_argument("--data", help="matrix file (default by --input kind)")
-    p.set_defaults(func=cmd_factorize)
+    p.set_defaults(func=cmd_run, stage="factorize")
 
     p = sub.add_parser("fit-efficiency", help="fit the outcome model")
-    p.add_argument("--factors", help="factor-model prefix")
-    p.add_argument("--shots", help="shot CSV with outcomes")
-    p.set_defaults(func=cmd_fit_efficiency)
+    p.add_argument("--shots", help="input shot CSV (default from config)")
+    p.set_defaults(func=cmd_run, stage="efficiency")
 
     p = sub.add_parser("evaluate", help="held-out model comparison")
-    p.add_argument("--shots", help="shot CSV (default from config)")
-    p.add_argument("--truth", help="true basis CSV for recovery scoring")
-    p.set_defaults(func=cmd_evaluate)
+    p.add_argument("--shots", help="input shot CSV (default from config)")
+    p.set_defaults(func=cmd_run, stage="evaluate")
 
     p = sub.add_parser("render", help="surfaces CSV to graymap images")
     p.add_argument("--surfaces", required=True, help="shared-format surface CSV")
@@ -260,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
     p.add_argument("--shots", help="input shot CSV (default from config)")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_run, stage=None)
 
     for sp in sub.choices.values():
         _add_common(sp)

@@ -280,8 +280,8 @@ def read_labeled_csv(
 
     Every row must hold the grid's tile count of values (without a header,
     the first row's count); an empty row, a value that does not parse, or
-    (with ``integer``) a non-integer value raises ValueError naming the
-    file and line.
+    (with ``integer``) a negative or non-integer value raises ValueError
+    naming the file and line, and a file without rows names the file.
     """
     parse = int if integer else float
     ids, rows = [], []
@@ -309,7 +309,11 @@ def read_labeled_csv(
                 rows.append([parse(v) for v in row[1:]])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from exc
+            if integer and min(rows[-1], default=0) < 0:
+                raise ValueError(f"{path}:{line}: negative count {min(rows[-1])}")
             ids.append(row[0])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     matrix = np.array(rows, dtype=np.int64 if integer else np.float64)
     return ids, matrix, grid
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .court import CountMatrix, CourtGrid, ShotEvent, build_count_matrix, split_holdout
-from .gp import KernelHyper, build_cov_factor
-from .lgcp import IntensitySurface, LgcpConfig, fit_cohort, poisson_count_loglik
+from .court import CountMatrix
+from .lgcp import IntensitySurface, poisson_count_loglik
 from .nmf import NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
 EPS = 1e-12
@@ -28,10 +27,7 @@ MODEL_NAMES = ("lgcp", "nmf_kl", "nmf_frobenius", "nmf_counts", "pca")
 @dataclass
 class EvalConfig:
     fraction: float = 0.1
-    min_attempts: int = 50
     seed: int = 0
-    hyper: KernelHyper = field(default_factory=KernelHyper)
-    lgcp: LgcpConfig = field(default_factory=LgcpConfig)
     nmf: NmfConfig = field(default_factory=NmfConfig)
     models: tuple = MODEL_NAMES
 
@@ -166,31 +162,6 @@ def _unit_rows(matrix: np.ndarray, area: float) -> tuple[np.ndarray, np.ndarray]
     matrix = np.maximum(matrix, EPS)
     volumes = matrix.sum(axis=1) * area
     return matrix / volumes[:, None], volumes
-
-
-def run_comparison(
-    shots: list[ShotEvent],
-    grid: CourtGrid,
-    k_list: list[int],
-    config: EvalConfig | None = None,
-    truth_bases: np.ndarray | None = None,
-) -> EvalReport:
-    """Fit every requested model on a train split and score the holdout.
-
-    The LGCP stage runs once; factorizations reuse its normalized surfaces.
-    When planted bases are supplied, NMF bases are scored against them at
-    each K large enough to cover the truth.
-    """
-    config = config or EvalConfig()
-    train, test = split_holdout(shots, config.fraction, config.seed)
-    cm_train = build_count_matrix(train, grid, min_attempts=config.min_attempts)
-    cm_test = build_count_matrix(test, grid, min_attempts=0, players=cm_train.players)
-
-    factor = build_cov_factor(grid, config.hyper)
-    unit_surfaces, volumes = fit_cohort(cm_train.counts, factor, grid, config.lgcp)
-    return compare_surfaces(
-        cm_train, cm_test, unit_surfaces, volumes, k_list, config, truth_bases
-    )
 
 
 def compare_surfaces(

@@ -1,19 +1,23 @@
 """End-to-end orchestration: ingest, LGCP fits, factorization, efficiency,
 evaluation, all persisted and resumable.
 
-Every stage writes its outputs to the artifact directory and records their
-checksums.  A rerun with the same config, input files and package version
-skips stages whose outputs are intact; a corrupted intermediate triggers a
-warning and a re-run of its stage.  Nothing here consults the clock, so a
-given (config, seed) pair always produces the same bytes.
+The stages form one table, ``STAGES``.  Every stage writes its outputs to
+the artifact directory and records their checksums, and is keyed on the
+package version, the config views it receives and the checksums of its
+input files.  A rerun skips a stage whose key is unchanged and whose
+outputs are intact; a corrupted intermediate triggers a warning and a
+re-run of its stage.  Nothing here consults the clock, so a given
+(config, seed) pair always produces the same bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +125,9 @@ class PipelineConfig:
     def grid(self) -> CourtGrid:
         return CourtGrid(self.width, self.length, (self.tile_x, self.tile_y))
 
-    def hyper(self) -> KernelHyper:
-        return KernelHyper(self.variance, self.length_scale)
-
     def lgcp_config(self) -> LgcpConfig:
         return LgcpConfig(
-            hyper=self.hyper(),
+            hyper=KernelHyper(self.variance, self.length_scale),
             burn_in=self.lgcp_burn_in,
             n_samples=self.lgcp_samples,
             thinning=self.lgcp_thinning,
@@ -148,12 +149,7 @@ class PipelineConfig:
 
     def eval_config(self) -> EvalConfig:
         return EvalConfig(
-            fraction=self.fraction,
-            min_attempts=self.min_attempts,
-            seed=self.seed,
-            hyper=self.hyper(),
-            lgcp=self.lgcp_config(),
-            nmf=self.nmf_config(),
+            fraction=self.fraction, seed=self.seed, nmf=self.nmf_config()
         )
 
     def synth_config(self) -> SynthConfig:
@@ -207,26 +203,40 @@ def _sha256(path) -> str:
 
 
 class StageRunner:
-    """Runs named stages, skipping ones whose outputs are intact under the
-    same key: config text, package version and each input file's content
-    (or absence).  A changed key reruns every stage."""
+    """Runs named stages, skipping one whose outputs are intact and whose
+    key is the one it last ran with.  ``key`` sets a stage's key before
+    ``run`` runs it."""
 
-    def __init__(self, out_dir, config_text: str, inputs, log=print):
+    def __init__(self, out_dir, log=print):
         self.out_dir = out_dir
         self.state_path = os.path.join(out_dir, "pipeline_state.txt")
         self.log = log
-        key = [config_text, __version__]
-        key += [_sha256(p) if os.path.exists(p) else "absent" for p in inputs]
-        self.key_sha = hashlib.sha256("\0".join(key).encode()).hexdigest()
-        self.state = {"key_sha": self.key_sha, "artifacts": {}}
-        if os.path.exists(self.state_path):
-            try:
-                with open(self.state_path) as f:
-                    old = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                old = None
-            if old and old.get("key_sha") == self.key_sha:
-                self.state = old
+        self.keys = {}  # stage name -> key in this run
+        self.sums = {}  # path -> SHA-256, each file read at most once a run
+        try:
+            with open(self.state_path) as f:
+                old = dict(json.load(f))
+        except (OSError, ValueError, TypeError):
+            old = {}
+        # A state that is not a JSON object counts as none; one without
+        # "stages" (one key per run) reruns every stage once.
+        self.state = {
+            "artifacts": old.get("artifacts", {}),
+            "stages": old.get("stages", {}),
+        }
+
+    def checksum(self, path) -> str:
+        """SHA-256 of ``path``, or "absent" when there is no such file."""
+        if path not in self.sums:
+            self.sums[path] = _sha256(path) if os.path.exists(path) else "absent"
+        return self.sums[path]
+
+    def key(self, name: str, views: list, inputs: dict) -> None:
+        """Key stage ``name`` on the package version, the repr of its config
+        views and the checksum of each input file (input name -> path)."""
+        parts = [__version__, repr(views)]
+        parts += [f"{n}={self.checksum(p)}" for n, p in inputs.items()]
+        self.keys[name] = hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
     def _save(self):
         with open(self.state_path, "w") as f:
@@ -234,11 +244,19 @@ class StageRunner:
             f.write("\n")
 
     def run(self, name: str, outputs: list, fn):
+        key = self.keys[name]
         recorded = self.state["artifacts"]
         rel = [os.path.relpath(p, self.out_dir) for p in outputs]
-        if all(r in recorded and os.path.exists(p) for r, p in zip(rel, outputs)):
+        last_key = self.state["stages"].get(name)
+        if last_key is None or any(r not in recorded for r in rel):
+            reason = "no record"
+        elif last_key != key:
+            reason = "key changed"
+        elif not all(os.path.exists(p) for p in outputs):
+            reason = "output missing"
+        else:
             stale = [
-                r for r, p in zip(rel, outputs) if _sha256(p) != recorded[r]
+                r for r, p in zip(rel, outputs) if self.checksum(p) != recorded[r]
             ]
             if not stale:
                 self.log(f"[{name}] up to date, skipping")
@@ -246,40 +264,53 @@ class StageRunner:
             self.log(
                 f"[{name}] checksum mismatch on {', '.join(stale)}; re-running"
             )
+            reason = "checksum mismatch"
         try:
             fn()
         except Exception as exc:
             raise StageError(name, exc) from exc
         for r, p in zip(rel, outputs):
-            recorded[r] = _sha256(p)
+            self.sums[p] = recorded[r] = _sha256(p)
+        self.state["stages"][name] = key
         self._save()
-        self.log(f"[{name}] done")
+        self.log(f"[{name}] done ({reason})")
 
 
 # ---------------------------------------------------------------------------
-# Stage bodies shared with the standalone subcommands
+# Stage bodies, each called as body(input paths, output paths, *views)
 # ---------------------------------------------------------------------------
 
 
-def fit_surfaces_artifact(cm, config: PipelineConfig, surf_path, meta_path) -> None:
+def stage_ingest(inputs, outputs, grid: CourtGrid, fraction, min_attempts, seed):
+    """Split the shots into train and test, and count each split per tile."""
+    (shots_path,) = inputs
+    shots_train, shots_test, counts_train, counts_test = outputs
+    shots = read_shot_csv(shots_path, grid)
+    train, test = split_holdout(shots, fraction, seed)
+    cm_train = build_count_matrix(train, grid, min_attempts=min_attempts)
+    cm_test = build_count_matrix(test, grid, 0, players=cm_train.players)
+    keep = set(cm_train.players)
+    write_shot_csv(shots_train, [s for s in train if s.player in keep])
+    write_shot_csv(shots_test, [s for s in test if s.player in keep])
+    write_count_csv(counts_train, cm_train)
+    write_count_csv(counts_test, cm_test)
+
+
+def stage_lgcp(inputs, outputs, lgcp: LgcpConfig):
     """Fit per-player intensity surfaces and persist them with a sidecar."""
-    grid = cm.grid
-    factor = build_cov_factor(grid, config.hyper())
-    surfaces, volumes = fit_cohort(cm.counts, factor, grid, config.lgcp_config())
-    write_labeled_csv(surf_path, cm.players, surfaces, grid)
+    (counts_path,) = inputs
+    surfaces_path, meta_path = outputs
+    cm = read_count_csv(counts_path)
+    factor = build_cov_factor(cm.grid, lgcp.hyper)
+    surfaces, volumes = fit_cohort(cm.counts, factor, cm.grid, lgcp)
+    write_labeled_csv(surfaces_path, cm.players, surfaces, cm.grid)
     with open(meta_path, "w") as f:
         json.dump(
             {
-                "kernel": [config.variance, config.length_scale],
-                "chain": [
-                    config.lgcp_burn_in,
-                    config.lgcp_samples,
-                    config.lgcp_thinning,
-                ],
-                "seed": config.seed,
-                "volumes": {
-                    player: vol for player, vol in zip(cm.players, volumes.tolist())
-                },
+                "kernel": [lgcp.hyper.variance, lgcp.hyper.length_scale],
+                "chain": [lgcp.burn_in, lgcp.n_samples, lgcp.thinning],
+                "seed": lgcp.seed,
+                "volumes": dict(zip(cm.players, volumes.tolist())),
             },
             f,
             indent=2,
@@ -288,16 +319,18 @@ def fit_surfaces_artifact(cm, config: PipelineConfig, surf_path, meta_path) -> N
         f.write("\n")
 
 
-def efficiency_artifacts(
-    factors_prefix,
-    shots_path,
-    grid: CourtGrid,
-    config: PipelineConfig,
-    out_prefix,
-    surfaces_path,
-) -> None:
-    """Fit the outcome model on persisted factors and shots, and persist it."""
-    model, players = read_factor_model(factors_prefix)
+def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
+    (surfaces_path,) = inputs
+    players, matrix, _ = read_labeled_csv(surfaces_path)
+    model = fit_nmf(matrix, k, loss=loss, config=nmf)
+    write_factor_model(outputs[0].removesuffix("_W.csv"), model, players)
+
+
+def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyConfig):
+    """Fit the outcome model on the factors and the training shots."""
+    factors_w, _, _, shots_path = inputs
+    beta_path, _, surfaces_path = outputs
+    model, players = read_factor_model(factors_w.removesuffix("_W.csv"))
     loadings = adjust_weights(model)
     shots = read_shot_csv(shots_path, grid)
     row = {player: i for i, player in enumerate(players)}
@@ -309,8 +342,8 @@ def efficiency_artifacts(
         np.array([s.x for s in shots]), np.array([s.y for s in shots]), grid
     )
     made = np.array([s.made for s in shots], dtype=np.int64)
-    fit = fit_efficiency(idx, tiles, made, loadings, config.efficiency_config())
-    write_efficiency_csv(out_prefix, fit.model, players)
+    fit = fit_efficiency(idx, tiles, made, loadings, efficiency)
+    write_efficiency_csv(beta_path.removesuffix("_beta.csv"), fit.model, players)
     ids = ["global"] + list(players)
     rows = np.vstack(
         [efficiency_surface(loadings, fit.model)]
@@ -319,140 +352,139 @@ def efficiency_artifacts(
     write_labeled_csv(surfaces_path, ids, rows, grid)
 
 
+def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
+    """Score every model on the held-out counts (see ``compare_surfaces``)."""
+    train_path, test_path, surfaces_path, meta_path, truth_path = inputs
+    cm_train = read_count_csv(train_path)
+    cm_test = read_count_csv(test_path)
+    players, surfaces, _ = read_labeled_csv(surfaces_path)
+    with open(meta_path) as f:
+        volumes_map = json.load(f)["volumes"]
+    volumes = np.array([volumes_map[player] for player in players])
+    truth_bases = None
+    if os.path.exists(truth_path):
+        _, truth_bases, _ = read_labeled_csv(truth_path)
+    report = compare_surfaces(
+        cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth_bases
+    )
+    write_eval_report(os.path.dirname(outputs[0]), report)
+
+
 # ---------------------------------------------------------------------------
-# The pipeline itself
+# The stage table and the pipeline itself
 # ---------------------------------------------------------------------------
 
-
-def write_manifest(out_dir, config: PipelineConfig) -> str:
-    path = os.path.join(out_dir, "pipeline_manifest.txt")
-    with open(path, "w") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+# Input names of the two data files outside the artifact directory: the
+# shot CSV, and the planted bases that synth writes beside it (absent for
+# real data, where evaluate scores no basis recovery).
+SHOTS = "shots"
+TRUTH = "truth"
 
 
-def run_pipeline(config: PipelineConfig, out_dir=None, log=print) -> dict:
-    """Run every stage; returns a dict of artifact paths."""
+@dataclass(frozen=True)
+class Stage:
+    """One stage: the files it reads and writes (artifact names, formatted
+    with the config fields, or ``SHOTS``/``TRUTH``), the names of the
+    config attributes or view methods its body receives, and the body."""
+
+    name: str
+    inputs: tuple
+    outputs: tuple
+    views: tuple
+    body: Callable
+
+
+FACTORS = tuple(
+    f"factors_{{loss}}_k{{k}}_{part}" for part in ("W.csv", "B.csv", "manifest.txt")
+)
+
+STAGES = (
+    Stage(
+        "ingest",
+        (SHOTS,),
+        ("shots_train.csv", "shots_test.csv", "counts_train.csv", "counts_test.csv"),
+        ("grid", "fraction", "min_attempts", "seed"),
+        stage_ingest,
+    ),
+    Stage(
+        "lgcp",
+        ("counts_train.csv",),
+        ("surfaces.csv", "surfaces_meta.txt"),
+        ("lgcp_config",),
+        stage_lgcp,
+    ),
+    Stage(
+        "factorize",
+        ("surfaces.csv",),
+        FACTORS,
+        ("k", "loss", "nmf_config"),
+        stage_factorize,
+    ),
+    Stage(
+        "efficiency",
+        FACTORS + ("shots_train.csv",),
+        ("efficiency_beta.csv", "efficiency_global.csv", "efficiency_surfaces.csv"),
+        ("grid", "efficiency_config"),
+        stage_efficiency,
+    ),
+    Stage(
+        "evaluate",
+        ("counts_train.csv", "counts_test.csv", "surfaces.csv", "surfaces_meta.txt")
+        + (TRUTH,),
+        ("eval_report.csv", "eval_per_player.csv", "eval_report.txt"),
+        ("k_list", "eval_config"),
+        stage_evaluate,
+    ),
+)
+
+
+def stage_plan(target: str | None = None) -> list:
+    """Every stage in table order, or only ``target`` and the stages whose
+    outputs it reads directly or indirectly."""
+    if target is None:
+        return list(STAGES)
+    if target not in STAGE_CODES:
+        raise ValueError(f"unknown stage {target!r}")
+    wanted, plan = set(), []
+    for stage in reversed(STAGES):
+        if stage.name == target or wanted.intersection(stage.outputs):
+            plan.insert(0, stage)
+            wanted.update(stage.inputs)
+    return plan
+
+
+def run_pipeline(
+    config: PipelineConfig, out_dir=None, log=print, stage: str | None = None
+) -> dict:
+    """Run the stages of ``stage_plan(stage)``; returns each one's output
+    paths by stage name."""
     out_dir = out_dir or config.out
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
-    manifest = write_manifest(out_dir, config)
-    truth_path = os.path.join(os.path.dirname(config.shots), "truth_B.csv")
-    with open(manifest) as f:
-        runner = StageRunner(out_dir, f.read(), [config.shots, truth_path], log=log)
-    grid = config.grid()
-
-    def p(name):
-        return os.path.join(out_dir, name)
-
-    paths = {
-        "manifest": manifest,
-        "shots_train": p("shots_train.csv"),
-        "shots_test": p("shots_test.csv"),
-        "counts_train": p("counts_train.csv"),
-        "counts_test": p("counts_test.csv"),
-        "surfaces": p("surfaces.csv"),
-        "surfaces_meta": p("surfaces_meta.txt"),
-        "factors": p(f"factors_{config.loss}_k{config.k}"),
-        "efficiency": p("efficiency"),
-        "efficiency_surfaces": p("efficiency_surfaces.csv"),
+    with open(os.path.join(out_dir, "pipeline_manifest.txt"), "w") as f:
+        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
+        f.write("\n")
+    data = {
+        SHOTS: config.shots,
+        TRUTH: os.path.join(os.path.dirname(config.shots), "truth_B.csv"),
     }
 
-    def stage_ingest():
-        shots = read_shot_csv(config.shots, grid)
-        train, test = split_holdout(shots, config.fraction, config.seed)
-        cm_train = build_count_matrix(train, grid, min_attempts=config.min_attempts)
-        cm_test = build_count_matrix(test, grid, 0, players=cm_train.players)
-        keep = set(cm_train.players)
-        write_shot_csv(paths["shots_train"], [s for s in train if s.player in keep])
-        write_shot_csv(paths["shots_test"], [s for s in test if s.player in keep])
-        write_count_csv(paths["counts_train"], cm_train)
-        write_count_csv(paths["counts_test"], cm_test)
+    def path(name):
+        return data.get(name) or os.path.join(out_dir, name.format(**vars(config)))
 
-    runner.run(
-        "ingest",
-        [
-            paths["shots_train"],
-            paths["shots_test"],
-            paths["counts_train"],
-            paths["counts_test"],
-        ],
-        stage_ingest,
-    )
-
-    def stage_lgcp():
-        cm = read_count_csv(paths["counts_train"])
-        fit_surfaces_artifact(cm, config, paths["surfaces"], paths["surfaces_meta"])
-
-    runner.run("lgcp", [paths["surfaces"], paths["surfaces_meta"]], stage_lgcp)
-
-    factor_files = [
-        f"{paths['factors']}_W.csv",
-        f"{paths['factors']}_B.csv",
-        f"{paths['factors']}_manifest.txt",
-    ]
-
-    def stage_factorize():
-        players, matrix, _ = read_labeled_csv(paths["surfaces"])
-        model = fit_nmf(matrix, config.k, loss=config.loss, config=config.nmf_config())
-        write_factor_model(paths["factors"], model, players)
-
-    runner.run("factorize", factor_files, stage_factorize)
-
-    efficiency_files = [
-        f"{paths['efficiency']}_beta.csv",
-        f"{paths['efficiency']}_global.csv",
-        paths["efficiency_surfaces"],
-    ]
-
-    def stage_efficiency():
-        efficiency_artifacts(
-            paths["factors"],
-            paths["shots_train"],
-            grid,
-            config,
-            paths["efficiency"],
-            paths["efficiency_surfaces"],
-        )
-
-    runner.run("efficiency", efficiency_files, stage_efficiency)
-
-    eval_files = [
-        p("eval_report.csv"),
-        p("eval_per_player.csv"),
-        p("eval_report.txt"),
-    ]
-
-    def stage_evaluate():
-        cm_train = read_count_csv(paths["counts_train"])
-        cm_test = read_count_csv(paths["counts_test"])
-        players, surfaces, _ = read_labeled_csv(paths["surfaces"])
-        with open(paths["surfaces_meta"]) as f:
-            volumes_map = json.load(f)["volumes"]
-        volumes = np.array([volumes_map[player] for player in players])
-        truth_bases = None
-        if os.path.exists(truth_path):
-            _, truth_bases, _ = read_labeled_csv(truth_path)
-        report = compare_surfaces(
-            cm_train,
-            cm_test,
-            surfaces,
-            volumes,
-            list(config.k_list),
-            config.eval_config(),
-            truth_bases,
-        )
-        write_eval_report(out_dir, report)
-
-    runner.run("evaluate", eval_files, stage_evaluate)
-
-    paths.update(
-        {
-            "eval_report": eval_files[0],
-            "eval_per_player": eval_files[1],
-            "eval_text": eval_files[2],
-        }
-    )
-    return paths
+    runner = StageRunner(out_dir, log=log)
+    written = {}
+    for st in stage_plan(stage):
+        inputs = {name.format(**vars(config)): path(name) for name in st.inputs}
+        outputs = [path(name) for name in st.outputs]
+        try:
+            views = [getattr(config, view) for view in st.views]
+            views = [view() if callable(view) else view for view in views]
+        except ValueError as exc:
+            raise StageError(st.name, exc) from exc
+        runner.key(st.name, views, inputs)
+        body = functools.partial(st.body, list(inputs.values()), outputs, *views)
+        runner.run(st.name, outputs, body)
+        written[st.name] = outputs
+    return written

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the staged pipeline."""
 
+import json
 import os
 import shutil
 
@@ -58,6 +59,24 @@ def workspace(tmp_path_factory):
     config_path = _write_config(str(root))
     assert _synth(config_path, root / "data") == 0
     return {"root": root, "config": config_path}
+
+
+@pytest.fixture(scope="module")
+def finished(workspace):
+    """An artifact directory the pipeline has completed; copy it to edit."""
+    out = workspace["root"] / "finished"
+    argv = ["pipeline", "--config", workspace["config"], "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+def _stage_outputs(out_dir):
+    """Bytes of every stage output, by name."""
+    return {
+        p.name: p.read_bytes()
+        for p in out_dir.iterdir()
+        if p.is_file() and not p.name.startswith("pipeline_")
+    }
 
 
 class TestConfigParsing:
@@ -204,16 +223,17 @@ class TestSynthCommand:
 
 
 class TestStageCommands:
-    def test_ingest_builds_count_matrix(self, workspace, tmp_path, capsys):
-        """Ingest converts the shot CSV into a persisted count matrix."""
+    def test_ingest_builds_count_matrix(self, workspace, tmp_path):
+        """Ingest splits the shots and writes the pipeline's count matrices."""
         rc = main(
             ["ingest", "--config", workspace["config"], "--out", str(tmp_path)]
         )
         assert rc == 0
-        assert "6 players" in capsys.readouterr().out
-        cm = read_count_csv(tmp_path / "counts.csv")
+        cm = read_count_csv(tmp_path / "counts_train.csv")
         assert len(cm.players) == 6
         assert cm.counts.sum() > 0
+        assert read_count_csv(tmp_path / "counts_test.csv").players == cm.players
+        assert not (tmp_path / "counts.csv").exists()
 
     def test_fit_lgcp_factorize_efficiency_render(self, workspace, tmp_path, capsys):
         """The standalone stage commands chain through shared artifacts."""
@@ -226,7 +246,9 @@ class TestStageCommands:
         np.testing.assert_allclose(
             surfaces.sum(axis=1) * grid.tile_area, np.ones(6), rtol=1e-9
         )
+        capsys.readouterr()
         assert main(["factorize", "--config", config, "--out", out]) == 0
+        assert capsys.readouterr().out.count("up to date, skipping") == 2
         model, names = read_factor_model(tmp_path / "factors_kl_k2")
         assert names == players and model.k == 2
         shots_path = str(workspace["root"] / "data" / "shots.csv")
@@ -265,39 +287,32 @@ class TestStageCommands:
             f"{p}.pgm" for p in players
         )
 
-    def test_factorize_on_raw_counts(self, workspace, tmp_path):
-        """Factorization accepts the raw count matrix as input."""
-        out = str(tmp_path)
-        config = workspace["config"]
-        assert main(["ingest", "--config", config, "--out", out]) == 0
-        rc = main(
-            [
-                "factorize",
-                "--config",
-                config,
-                "--out",
-                out,
-                "--input",
-                "counts",
-                "--k",
-                "1",
-            ]
-        )
-        assert rc == 0
-        model, _ = read_factor_model(tmp_path / "factors_kl_k1")
-        assert model.k == 1
-        assert np.all(model.weights >= 0) and np.all(model.bases >= 0)
-
-    def test_evaluate_prints_table(self, workspace, tmp_path, capsys):
-        """Evaluation writes the report and prints the text table."""
-        rc = main(
-            ["evaluate", "--config", workspace["config"], "--out", str(tmp_path)]
-        )
-        assert rc == 0
+    def test_evaluate_matches_pipeline_report(
+        self, workspace, finished, tmp_path, capsys
+    ):
+        """Evaluate runs the pipeline's evaluate stage after the stages it
+        reads from: the same report bytes, and no efficiency artifact."""
+        argv = ["--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(["evaluate", *argv]) == 0
+        for name in ("eval_report.csv", "eval_per_player.csv", "eval_report.txt"):
+            assert (tmp_path / name).read_bytes() == (finished / name).read_bytes()
+        assert "basis recovery" in (tmp_path / "eval_report.txt").read_text()
+        assert not list(tmp_path.glob("efficiency*"))
+        capsys.readouterr()
+        assert main(["pipeline", *argv]) == 0
         out = capsys.readouterr().out
-        assert "held-out log-likelihood" in out
-        assert "basis recovery" in out  # truth_B.csv sits next to shots.csv
-        assert (tmp_path / "eval_report.csv").exists()
+        for stage in ("ingest", "lgcp", "evaluate"):
+            assert f"[{stage}] up to date, skipping" in out
+        for stage in ("factorize", "efficiency"):
+            assert f"[{stage}] done (no record)" in out
+
+    def test_failing_stage_command_exits_with_stage_code(
+        self, workspace, tmp_path, capsys
+    ):
+        """A stage subcommand that fails exits with its stage's code."""
+        argv = ["--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(["factorize", *argv, "--k", "40"]) == STAGE_CODES["factorize"]
+        assert "factorize" in capsys.readouterr().err
 
 
 class TestPipelineCommand:
@@ -378,6 +393,79 @@ class TestPipelineCommand:
         config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
         assert main(["pipeline", "--config", config_path]) == STAGE_CODES["evaluate"]
         assert f"truth_B.csv:{added}:" in capsys.readouterr().err
+
+    def _rerun(self, finished, tmp_path, capsys, **overrides):
+        """Rerun a copy of a finished directory under an edited config;
+        returns the log and the outputs before and after."""
+        out = tmp_path / "artifacts"
+        shutil.copytree(finished, out)
+        before = _stage_outputs(out)
+        shots = overrides.pop("shots", str(finished.parent / "data" / "shots.csv"))
+        config_path = _write_config(str(tmp_path), shots=shots, **overrides)
+        capsys.readouterr()
+        assert main(["pipeline", "--config", config_path]) == 0
+        return capsys.readouterr().out, before, _stage_outputs(out)
+
+    def test_lvm_sweeps_change_reruns_only_efficiency(
+        self, finished, tmp_path, capsys
+    ):
+        """The Gibbs chain length is read by the efficiency stage alone."""
+        out, before, after = self._rerun(finished, tmp_path, capsys, lvm_sweeps=150)
+        assert out.count("up to date, skipping") == 4
+        assert "[efficiency] done (key changed)" in out
+        changed = {name for name in before if before[name] != after[name]}
+        assert changed <= {
+            "efficiency_beta.csv",
+            "efficiency_global.csv",
+            "efficiency_surfaces.csv",
+        }
+
+    def test_k_list_change_reruns_only_evaluate(self, finished, tmp_path, capsys):
+        """The K list is read by the evaluate stage alone."""
+        out, _, after = self._rerun(finished, tmp_path, capsys, k_list="[1]")
+        assert out.count("up to date, skipping") == 4
+        assert "[evaluate] done (key changed)" in out
+        assert b"nmf_kl" in after["eval_report.csv"]
+        assert b"nmf_kl,2," not in after["eval_report.csv"]
+
+    def test_swapped_truth_rows_rerun_only_evaluate(
+        self, finished, tmp_path, capsys
+    ):
+        """A content change to truth_B.csv that keeps its size and row count
+        reruns evaluate alone.  Basis recovery does not depend on the order
+        of the true bases, so every output keeps its bytes."""
+        data = tmp_path / "data"
+        shutil.copytree(finished.parent / "data", data)
+        lines = (data / "truth_B.csv").read_bytes().splitlines(keepends=True)
+        header, first, second, *rest = lines
+        (data / "truth_B.csv").write_bytes(b"".join([header, second, first, *rest]))
+        shots = str(data / "shots.csv")
+        out, before, after = self._rerun(finished, tmp_path, capsys, shots=shots)
+        assert out.count("up to date, skipping") == 4
+        assert "[evaluate] done (key changed)" in out
+        assert after == before and len(after) == 15
+
+    def test_state_without_stage_keys_reruns_every_stage(
+        self, finished, tmp_path, capsys
+    ):
+        """A state file from before per-stage keys reruns each stage once,
+        to the same bytes."""
+        state_path = finished / "pipeline_state.txt"
+        state = json.loads(state_path.read_text())
+        out_dir = tmp_path / "artifacts"
+        shutil.copytree(finished, out_dir)
+        old_state = {"artifacts": state["artifacts"], "key": "0" * 64}
+        (out_dir / "pipeline_state.txt").write_text(json.dumps(old_state))
+        before = _stage_outputs(out_dir)
+        config_path = _write_config(
+            str(tmp_path), shots=str(finished.parent / "data" / "shots.csv")
+        )
+        capsys.readouterr()
+        assert main(["pipeline", "--config", config_path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("done (no record)") == 5
+        assert _stage_outputs(out_dir) == before
+        assert (out_dir / "pipeline_state.txt").read_text() == state_path.read_text()
 
     def test_corrupted_intermediate_reruns_stage(self, workspace, tmp_path, capsys):
         """A checksum mismatch triggers regeneration of that stage."""

@@ -373,6 +373,18 @@ class TestLabeledCsvReader:
         with pytest.raises(ValueError, match=r"counts\.csv:4: .*'1\.5'"):
             read_count_csv(path)
 
+    def test_negative_count_names_file_and_line(self, tmp_path):
+        path = self._counts_file(tmp_path)
+        self._append(path, "c,-1,3\r\n")
+        with pytest.raises(ValueError, match=r"counts\.csv:4: negative count -1"):
+            read_count_csv(path)
+
+    def test_header_only_file_names_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        write_count_csv(path, CountMatrix(np.zeros((0, 2), dtype=int), [], TWO))
+        with pytest.raises(ValueError, match=r"counts\.csv: no data rows"):
+            read_count_csv(path)
+
     def test_counts_need_grid_header(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("a,1,2\n")

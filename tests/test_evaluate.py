@@ -6,19 +6,25 @@ import os
 import numpy as np
 import pytest
 
-from shotfactor.court import CountMatrix, CourtGrid, ShotEvent
+from shotfactor.court import (
+    CountMatrix,
+    CourtGrid,
+    ShotEvent,
+    build_count_matrix,
+    split_holdout,
+)
 from shotfactor.evaluate import (
     EvalConfig,
     EvalEntry,
     EvalReport,
     basis_recovery_score,
+    compare_surfaces,
     empirical_correlation,
     heldout_loglik,
-    run_comparison,
     write_eval_report,
 )
-from shotfactor.gp import KernelHyper
-from shotfactor.lgcp import IntensitySurface, LgcpConfig
+from shotfactor.gp import KernelHyper, build_cov_factor
+from shotfactor.lgcp import IntensitySurface, LgcpConfig, fit_cohort
 from shotfactor.nmf import NmfConfig
 from shotfactor.synth import make_planted_bases
 
@@ -217,14 +223,17 @@ def report_and_truth():
     truth[1, (centers[:, 0] > 5) & (centers[:, 1] > 4)] = 1.0
     truth /= truth.sum(axis=1, keepdims=True) * grid.tile_area
     config = EvalConfig(
-        fraction=0.2,
-        min_attempts=20,
-        seed=0,
-        hyper=KernelHyper(variance=1.0, length_scale=2.0),
-        lgcp=LgcpConfig(burn_in=100, n_samples=100, thinning=1, seed=0),
-        nmf=NmfConfig(max_iters=400, restarts=2, seed=0),
+        fraction=0.2, seed=0, nmf=NmfConfig(max_iters=400, restarts=2, seed=0)
     )
-    report = run_comparison(shots, grid, [1, 2], config, truth_bases=truth)
+    train, test = split_holdout(shots, config.fraction, config.seed)
+    cm_train = build_count_matrix(train, grid, min_attempts=20)
+    cm_test = build_count_matrix(test, grid, min_attempts=0, players=cm_train.players)
+    factor = build_cov_factor(grid, KernelHyper(variance=1.0, length_scale=2.0))
+    lgcp = LgcpConfig(burn_in=100, n_samples=100, thinning=1, seed=0)
+    surfaces, volumes = fit_cohort(cm_train.counts, factor, grid, lgcp)
+    report = compare_surfaces(
+        cm_train, cm_test, surfaces, volumes, [1, 2], config, truth_bases=truth
+    )
     return report, truth
 
 
