@@ -42,19 +42,15 @@ from .evaluate import (
     EvalConfig,
     EvalReport,
     basis_recovery_score,
-    empirical_correlation,
     heldout_loglik,
 )
 from .gp import CovFactor, KernelHyper, build_cov_factor, sample_field, squared_exponential
 from .lgcp import (
-    IntensitySurface,
     LgcpConfig,
     ess_step,
     ess_update,
     fit_cohort,
     fit_lgcp,
-    normalize_unit_volume,
-    poisson_loglik,
 )
 from .nmf import (
     FactorModel,
@@ -89,7 +85,6 @@ __all__ = [
     "EvalConfig",
     "EvalReport",
     "FactorModel",
-    "IntensitySurface",
     "KernelHyper",
     "LgcpConfig",
     "NmfConfig",
@@ -103,7 +98,6 @@ __all__ = [
     "build_count_matrix",
     "build_cov_factor",
     "efficiency_surface",
-    "empirical_correlation",
     "ess_step",
     "ess_update",
     "fit_cohort",
@@ -120,9 +114,7 @@ __all__ = [
     "load_config",
     "make_planted_bases",
     "make_planted_truth",
-    "normalize_unit_volume",
     "pca_reconstruct",
-    "poisson_loglik",
     "predict_fg_pct",
     "read_count_csv",
     "read_heatmap",

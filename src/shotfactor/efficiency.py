@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import backend
-from .court import read_labeled_csv, write_labeled_csv
+from .court import write_labeled_csv
 from .lgcp import ess_update
 from .nmf import FactorModel
 
@@ -95,7 +95,6 @@ class EfficiencyFit:
 
     model: EfficiencyModel
     prob: np.ndarray  # posterior mean of expit(beta), N x K
-    prob_global: np.ndarray  # posterior mean of expit(beta0), length K
     beta0_trace: np.ndarray
     sigma2_trace: np.ndarray
     config: EfficiencyConfig
@@ -265,7 +264,6 @@ def fit_efficiency(
     beta_sum = np.zeros((n, k))
     sigma2_sum = np.zeros(k)
     prob_sum = np.zeros((n, k))
-    prob0_sum = np.zeros(k)
 
     for sweep in range(config.sweeps):
         types = sample_shot_types(players, tiles, loadings, rng)
@@ -283,7 +281,6 @@ def fit_efficiency(
             beta_sum += beta
             sigma2_sum += sigma2
             prob_sum += expit(beta)
-            prob0_sum += expit(beta0)
 
     model = EfficiencyModel(
         beta0=beta0_sum / kept,
@@ -296,7 +293,6 @@ def fit_efficiency(
     return EfficiencyFit(
         model=model,
         prob=prob_sum / kept,
-        prob_global=prob0_sum / kept,
         beta0_trace=beta0_trace,
         sigma2_trace=sigma2_trace,
         config=config,
@@ -338,13 +334,3 @@ def write_efficiency_csv(prefix, model: EfficiencyModel, players) -> list:
         global_path, ["beta0", "sigma2"], np.vstack([model.beta0, model.sigma2])
     )
     return [beta_path, global_path]
-
-
-def read_efficiency_csv(prefix) -> tuple[EfficiencyModel, list[str]]:
-    players, beta, _ = read_labeled_csv(f"{prefix}_beta.csv")
-    ids, rows, _ = read_labeled_csv(f"{prefix}_global.csv")
-    labeled = dict(zip(ids, rows))
-    model = EfficiencyModel(
-        beta0=labeled["beta0"], sigma2=labeled["sigma2"], beta=beta
-    )
-    return model, players

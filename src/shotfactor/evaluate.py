@@ -14,9 +14,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .court import CountMatrix
-from .lgcp import IntensitySurface, poisson_count_loglik
 from .nmf import NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
 EPS = 1e-12
@@ -86,49 +86,24 @@ class EvalReport:
 
 def heldout_loglik(
     test_counts: np.ndarray,
-    surface: IntensitySurface,
-    train_volume: float,
+    unit_rows: np.ndarray,
+    train_volumes: np.ndarray,
     fraction: float,
-) -> float:
-    """Poisson log-likelihood of test counts under the rescaled surface.
+    area: float,
+) -> np.ndarray:
+    """Per-player Poisson log-likelihood of test counts (N x V) under
+    rescaled unit-volume surfaces (N x V).
 
-    The unit-volume surface is scaled to the expected test mass,
-    train_volume * f/(1-f), and floored at a tiny rate so empty tiles
-    cannot produce infinities.
+    Each row is scaled to its expected test mass, train volume * f/(1-f),
+    and floored at a tiny rate so empty tiles cannot produce infinities;
+    each tile contributes c*log(area*rate) - area*rate - log(c!).
     """
     if not 0 < fraction < 1:
         raise ValueError("holdout fraction must lie in (0, 1)")
-    scale = train_volume * fraction / (1.0 - fraction)
-    rates = np.maximum(surface.values * scale, EPS)
-    return poisson_count_loglik(test_counts, rates, surface.grid.tile_area)
-
-
-def empirical_correlation(
-    cm: CountMatrix, anchor: int, return_flags: bool = False
-):
-    """Across-player Pearson correlation of every tile with an anchor tile.
-
-    Constant tiles (including a constant anchor) produce 0 and are flagged.
-    """
-    counts = np.asarray(cm.counts, dtype=np.float64)
-    n, v = counts.shape
-    if n < 3:
-        raise ValueError("need at least 3 players for correlations")
-    if not 0 <= anchor < v:
-        raise IndexError(f"anchor tile {anchor} out of range")
-    centered = counts - counts.mean(axis=0)
-    std = centered.std(axis=0)
-    flags = std == 0
-    corr = np.zeros(v)
-    if not flags[anchor]:
-        ok = ~flags
-        corr[ok] = (centered[:, ok] * centered[:, [anchor]]).mean(axis=0) / (
-            std[ok] * std[anchor]
-        )
-    corr = np.clip(corr, -1.0, 1.0)
-    if return_flags:
-        return corr, flags
-    return corr
+    counts = np.asarray(test_counts, dtype=np.float64)
+    scale = np.asarray(train_volumes, dtype=np.float64) * fraction / (1.0 - fraction)
+    lam = area * np.maximum(unit_rows * scale[:, None], EPS)
+    return np.sum(counts * np.log(lam) - lam - gammaln(counts + 1.0), axis=1)
 
 
 def basis_recovery_score(b_hat: np.ndarray, b_star: np.ndarray) -> RecoveryScore:
@@ -179,11 +154,7 @@ def compare_surfaces(
     area = grid.tile_area
 
     def score(rows: np.ndarray, vols: np.ndarray) -> np.ndarray:
-        out = np.empty(len(players))
-        for i in range(len(players)):
-            surf = IntensitySurface(rows[i], grid, normalized=True)
-            out[i] = heldout_loglik(cm_test.counts[i], surf, vols[i], config.fraction)
-        return out
+        return heldout_loglik(cm_test.counts, rows, vols, config.fraction, area)
 
     entries: list[EvalEntry] = []
     recovery: dict = {}

@@ -1,5 +1,5 @@
-"""Per-player intensity surfaces: Poisson likelihood, elliptical slice
-sampling, posterior-mean fitting, and unit-volume normalization."""
+"""Per-player intensity surfaces: elliptical slice sampling of the field,
+posterior-mean fitting, and unit-volume normalization."""
 
 from __future__ import annotations
 
@@ -35,47 +35,6 @@ class LgcpConfig:
     def __post_init__(self):
         if self.burn_in < 0 or self.n_samples < 1 or self.thinning < 1:
             raise ValueError("burn_in >= 0, n_samples >= 1, thinning >= 1 required")
-
-
-@dataclass(eq=False)
-class IntensitySurface:
-    """Non-negative per-tile rates; ``normalized`` marks unit volume."""
-
-    values: np.ndarray
-    grid: CourtGrid
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.grid.n_tiles,):
-            raise ValueError("surface length does not match grid")
-        if np.any(self.values < 0):
-            raise ValueError("intensity values must be non-negative")
-
-    def volume(self) -> float:
-        return float(self.values.sum() * self.grid.tile_area)
-
-
-def poisson_loglik(
-    counts: np.ndarray, field: np.ndarray, log_mean_rate: float, area: float
-) -> float:
-    """Discretized point-process log-likelihood of tile counts.
-
-    Rates are exp(field + log_mean_rate) per unit area; each tile contributes
-    c*log(area*rate) - area*rate - log(c!).
-    """
-    counts = np.ascontiguousarray(counts, dtype=np.float64)
-    field = np.ascontiguousarray(field, dtype=np.float64)
-    return float(
-        backend.poisson_field_loglik(counts, field, float(log_mean_rate), float(area))
-    )
-
-
-def poisson_count_loglik(counts: np.ndarray, rates: np.ndarray, area: float) -> float:
-    """Same likelihood parameterized by per-tile rates directly."""
-    counts = np.asarray(counts, dtype=np.float64)
-    lam = area * np.asarray(rates, dtype=np.float64)
-    return float(np.sum(counts * np.log(lam) - lam - gammaln(counts + 1.0)))
 
 
 def ess_update(
@@ -128,8 +87,8 @@ def fit_lgcp(
     grid: CourtGrid,
     config: LgcpConfig,
     rng: np.random.Generator | None = None,
-) -> IntensitySurface:
-    """Posterior-mean intensity surface for one player's tile counts.
+) -> np.ndarray:
+    """Posterior-mean per-tile rates for one player's tile counts.
 
     Runs burn-in, then keeps every ``thinning``-th state and averages the
     intensities exp(field + bias) over kept states (mean of intensities, not
@@ -167,18 +126,7 @@ def fit_lgcp(
             z, ll = ess_step(z, factor, loglik, rng, ll)
         mean += np.exp(z + bias)
     mean /= config.n_samples
-    return IntensitySurface(mean, grid, normalized=False)
-
-
-def normalize_unit_volume(
-    surface: IntensitySurface,
-) -> tuple[IntensitySurface, float]:
-    """Scale a surface to unit volume; returns (normalized, original volume)."""
-    volume = surface.volume()
-    if volume <= 0:
-        raise ValueError("cannot normalize a surface with zero volume")
-    scaled = IntensitySurface(surface.values / volume, surface.grid, normalized=True)
-    return scaled, volume
+    return mean
 
 
 def fit_cohort(
@@ -197,7 +145,7 @@ def fit_cohort(
     for i in range(n):
         # stream tag 2: cohort chains stay disjoint from other stages
         rng = np.random.default_rng([config.seed, 2, i])
-        fitted = fit_lgcp(counts[i], factor, grid, config, rng=rng)
-        unit, volumes[i] = normalize_unit_volume(fitted)
-        surfaces[i] = unit.values
+        rates = fit_lgcp(counts[i], factor, grid, config, rng=rng)
+        volumes[i] = rates.sum() * grid.tile_area
+        surfaces[i] = rates / volumes[i]
     return surfaces, volumes

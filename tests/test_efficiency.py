@@ -14,10 +14,8 @@ from shotfactor.efficiency import (
     gibbs_beta_step,
     gibbs_sigma_update,
     predict_fg_pct,
-    read_efficiency_csv,
     sample_shot_types,
     shot_type_posterior,
-    write_efficiency_csv,
 )
 from shotfactor.nmf import FactorModel
 
@@ -606,22 +604,3 @@ class TestEfficiencySurface:
                 loadings, model, player=int(rng.integers(5))
             )
             assert np.all(surface > 0.0) and np.all(surface < 1.0)
-
-
-class TestEfficiencyCsvIO:
-    def test_round_trip_preserves_model(self, tmp_path):
-        """Persisted posterior means reload bit for bit."""
-        rng = np.random.default_rng(42)
-        model = EfficiencyModel(
-            beta0=rng.normal(size=3),
-            sigma2=rng.uniform(0.1, 2.0, size=3),
-            beta=rng.normal(size=(5, 3)),
-        )
-        players = [f"player_{i}" for i in range(5)]
-        prefix = str(tmp_path / "eff")
-        write_efficiency_csv(prefix, model, players)
-        loaded, names = read_efficiency_csv(prefix)
-        assert names == players
-        np.testing.assert_array_equal(loaded.beta, model.beta)
-        np.testing.assert_array_equal(loaded.beta0, model.beta0)
-        np.testing.assert_array_equal(loaded.sigma2, model.sigma2)

@@ -19,12 +19,11 @@ from shotfactor.evaluate import (
     EvalReport,
     basis_recovery_score,
     compare_surfaces,
-    empirical_correlation,
     heldout_loglik,
     write_eval_report,
 )
 from shotfactor.gp import KernelHyper, build_cov_factor
-from shotfactor.lgcp import IntensitySurface, LgcpConfig, fit_cohort
+from shotfactor.lgcp import LgcpConfig, fit_cohort
 from shotfactor.nmf import NmfConfig
 from shotfactor.synth import make_planted_bases
 
@@ -33,100 +32,42 @@ DESK = CourtGrid(tile_size=(2.5, 2.0))
 
 class TestHeldoutLoglik:
     def test_zero_counts_give_negative_scaled_mass(self):
-        """With no test shots the log-likelihood is minus the test mass."""
+        """With no test shots each player's log-likelihood is minus its own
+        test mass."""
         v = DESK.n_tiles
-        surface = IntensitySurface(
-            np.full(v, 1.0 / (v * DESK.tile_area)), DESK, normalized=True
+        rows = np.full((2, v), 1.0 / (v * DESK.tile_area))
+        value = heldout_loglik(
+            np.zeros((2, v)), rows, np.array([90.0, 45.0]), 0.1, DESK.tile_area
         )
-        value = heldout_loglik(np.zeros(v), surface, train_volume=90.0, fraction=0.1)
-        np.testing.assert_allclose(value, -10.0, atol=1e-9)
+        np.testing.assert_allclose(value, [-10.0, -5.0], atol=1e-9)
 
     def test_uniform_surface_single_shot(self):
         """One test shot under a flat surface adds log(mass / V)."""
         v = DESK.n_tiles
-        surface = IntensitySurface(
-            np.full(v, 1.0 / (v * DESK.tile_area)), DESK, normalized=True
-        )
-        counts = np.zeros(v)
-        counts[17] = 1
+        rows = np.full((1, v), 1.0 / (v * DESK.tile_area))
+        counts = np.zeros((1, v))
+        counts[0, 17] = 1
         m = 90.0 * 0.1 / 0.9
-        value = heldout_loglik(counts, surface, train_volume=90.0, fraction=0.1)
-        np.testing.assert_allclose(value, -m + np.log(m / v), atol=1e-9)
+        value = heldout_loglik(counts, rows, np.array([90.0]), 0.1, DESK.tile_area)
+        np.testing.assert_allclose(value, [-m + np.log(m / v)], atol=1e-9)
 
     def test_zero_surface_floored_to_finite(self):
         """A dead tile cannot produce an infinite penalty."""
-        grid = CourtGrid(width=2.0, length=2.0, tile_size=1.0)
-        surface = IntensitySurface(
-            np.array([0.5, 0.5, 0.0, 0.0]), grid, normalized=True
-        )
-        counts = np.array([0.0, 0.0, 3.0, 0.0])
-        value = heldout_loglik(counts, surface, train_volume=50.0, fraction=0.1)
+        rows = np.array([[0.5, 0.5, 0.0, 0.0]])
+        counts = np.array([[0.0, 0.0, 3.0, 0.0]])
+        (value,) = heldout_loglik(counts, rows, np.array([50.0]), 0.1, 1.0)
         assert np.isfinite(value)
         assert value < -20.0
 
     def test_invalid_fraction_rejected(self):
         """Holdout fractions outside (0, 1) are errors."""
-        surface = IntensitySurface(
-            np.full(4, 0.25), CourtGrid(2.0, 2.0, 1.0), normalized=True
-        )
+        rows = np.full((1, 4), 0.25)
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError, match="fraction"):
-                heldout_loglik(np.zeros(4), surface, 10.0, bad)
+                heldout_loglik(np.zeros((1, 4)), rows, np.array([10.0]), bad, 1.0)
 
 
 class TestEmpiricalCorrelation:
-    def _count_matrix(self, counts):
-        n = counts.shape[0]
-        grid = CourtGrid(
-            width=2.0 * counts.shape[1], length=2.0, tile_size=2.0
-        )
-        return CountMatrix(counts, [f"p{i}" for i in range(n)], grid)
-
-    def test_anchor_correlates_perfectly_with_itself(self):
-        """A non-constant anchor column has correlation 1 with itself."""
-        rng = np.random.default_rng(42)
-        cm = self._count_matrix(rng.poisson(5.0, size=(8, 6)).astype(float))
-        corr = empirical_correlation(cm, 2)
-        np.testing.assert_allclose(corr[2], 1.0, atol=1e-12)
-
-    def test_proportional_columns_correlate_perfectly(self):
-        """Exactly proportional columns give correlation 1."""
-        base = np.array([1.0, 4.0, 2.0, 7.0, 5.0])
-        counts = np.column_stack([base, 3.0 * base, base[::-1]])
-        corr = empirical_correlation(self._count_matrix(counts), 0)
-        np.testing.assert_allclose(corr[1], 1.0, atol=1e-12)
-
-    def test_constant_column_flagged_zero(self):
-        """Zero-variance tiles report correlation 0 with a flag."""
-        counts = np.array(
-            [[1.0, 5.0, 2.0], [2.0, 5.0, 1.0], [3.0, 5.0, 4.0], [4.0, 5.0, 2.0]]
-        )
-        corr, flags = empirical_correlation(
-            self._count_matrix(counts), 0, return_flags=True
-        )
-        assert corr[1] == 0.0
-        np.testing.assert_array_equal(flags, [False, True, False])
-        # a constant anchor zeroes the whole vector
-        corr_const = empirical_correlation(self._count_matrix(counts), 1)
-        np.testing.assert_array_equal(corr_const, np.zeros(3))
-
-    def test_outputs_bounded(self):
-        """Correlations always lie in [-1, 1]."""
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            counts = rng.poisson(3.0, size=(6, 10)).astype(float)
-            corr = empirical_correlation(self._count_matrix(counts), 4)
-            assert np.all(corr >= -1.0) and np.all(corr <= 1.0)
-
-    def test_validation(self):
-        """Too few players or an out-of-range anchor are errors."""
-        counts = np.ones((2, 4))
-        with pytest.raises(ValueError, match="3 players"):
-            empirical_correlation(self._count_matrix(counts), 0)
-        good = np.random.default_rng(0).poisson(2.0, size=(5, 4)).astype(float)
-        with pytest.raises(IndexError):
-            empirical_correlation(self._count_matrix(good), 9)
-
     def test_far_arc_tiles_outcorrelate_equidistant_interior(self):
         """Across players, two wing tiles on the same arc correlate more
         strongly than an arc tile and an equally distant interior tile."""
@@ -151,9 +92,9 @@ class TestEmpiricalCorrelation:
         cm = CountMatrix(
             rng.poisson(lam).astype(float), [f"p{i}" for i in range(n)], DESK
         )
-        corr = empirical_correlation(cm, arc1)
         assert cm.counts[:, interior].std() > 0, "interior tile must vary"
-        assert corr[arc2] > corr[interior] + 0.3
+        corr = np.corrcoef(cm.counts[:, [arc1, arc2, interior]], rowvar=False)[0]
+        assert corr[1] > corr[2] + 0.3
 
 
 class TestBasisRecoveryScore:

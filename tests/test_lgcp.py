@@ -10,18 +10,9 @@ from scipy.stats import poisson
 
 from shotfactor import backend
 from shotfactor.court import CourtGrid, read_labeled_csv, write_labeled_csv
+from shotfactor.evaluate import heldout_loglik
 from shotfactor.gp import KernelHyper, build_cov_factor
-from shotfactor.lgcp import (
-    IntensitySurface,
-    LgcpConfig,
-    ess_step,
-    ess_update,
-    fit_cohort,
-    fit_lgcp,
-    normalize_unit_volume,
-    poisson_count_loglik,
-    poisson_loglik,
-)
+from shotfactor.lgcp import LgcpConfig, ess_step, ess_update, fit_cohort, fit_lgcp
 
 SMALL = CourtGrid(width=5.0, length=4.0, tile_size=1.0)
 DESK = CourtGrid(tile_size=(2.5, 2.0))
@@ -30,7 +21,9 @@ DESK = CourtGrid(tile_size=(2.5, 2.0))
 class TestPoissonLoglik:
     def test_single_tile_literal(self):
         """count 2 at mean 2: log(2^2 e^-2 / 2!) = log 2 - 2."""
-        got = poisson_loglik(np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0)
+        got = backend.poisson_field_loglik(
+            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0
+        )
         np.testing.assert_allclose(got, -1.3068528194400546, rtol=1e-14)
 
     def test_matches_scipy_over_random_fields(self):
@@ -40,20 +33,21 @@ class TestPoissonLoglik:
             z = rng.normal(0, 1, size=30)
             bias, area = float(rng.normal()), float(rng.uniform(0.5, 4))
             expected = poisson.logpmf(counts, area * np.exp(z + bias)).sum()
-            got = poisson_loglik(counts, z, bias, area)
+            got = backend.poisson_field_loglik(counts, z, bias, area)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_count_parameterization_agrees(self):
-        """Rates exp(z + bias) and the field form give the same value."""
+        """The held-out scorer's rate form, at rates exp(z + bias) and unit
+        scale (train volume 1, fraction 1/2), equals the field form."""
         rng = np.random.default_rng(5)
         counts = rng.poisson(3.0, size=25)
         z = rng.normal(0, 1, size=25)
-        a = poisson_loglik(counts, z, 0.7, 2.5)
-        b = poisson_count_loglik(counts, np.exp(z + 0.7), 2.5)
+        a = backend.poisson_field_loglik(counts, z, 0.7, 2.5)
+        (b,) = heldout_loglik(counts[None], np.exp(z + 0.7)[None], [1.0], 0.5, 2.5)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_zero_counts_leave_rate_mass_only(self):
-        got = poisson_loglik(np.zeros(3), np.zeros(3), 0.0, 2.0)
+        got = backend.poisson_field_loglik(np.zeros(3), np.zeros(3), 0.0, 2.0)
         np.testing.assert_allclose(got, -6.0, rtol=1e-14)
 
 
@@ -187,11 +181,10 @@ class TestFitLgcp:
         surface = fit_lgcp(
             counts, factor, SMALL, LgcpConfig(burn_in=300, n_samples=400, seed=1)
         )
-        assert isinstance(surface, IntensitySurface)
-        assert not surface.normalized
-        corr = np.corrcoef(surface.values, rates)[0, 1]
+        assert surface.shape == (SMALL.n_tiles,)
+        corr = np.corrcoef(surface, rates)[0, 1]
         assert corr > 0.9
-        assert surface.volume() == pytest.approx(counts.sum(), rel=0.1)
+        assert surface.sum() * SMALL.tile_area == pytest.approx(counts.sum(), rel=0.1)
 
     def test_empirical_bias_matches_total_mass(self):
         """Default bias log(M / court area) keeps volume near the count total."""
@@ -201,7 +194,7 @@ class TestFitLgcp:
         surface = fit_lgcp(
             counts, factor, SMALL, LgcpConfig(burn_in=200, n_samples=300, seed=2)
         )
-        assert surface.volume() == pytest.approx(counts.sum(), rel=0.1)
+        assert surface.sum() * SMALL.tile_area == pytest.approx(counts.sum(), rel=0.1)
 
     def test_zero_total_requires_explicit_rate(self):
         factor = build_cov_factor(SMALL, KernelHyper())
@@ -213,7 +206,7 @@ class TestFitLgcp:
             SMALL,
             LgcpConfig(log_mean_rate=-2.0, burn_in=50, n_samples=50),
         )
-        assert np.all(surface.values > 0)
+        assert np.all(surface > 0)
 
     def test_length_mismatch_rejected(self):
         factor = build_cov_factor(SMALL, KernelHyper())
@@ -227,13 +220,13 @@ class TestFitLgcp:
         cfg = LgcpConfig(burn_in=50, n_samples=50, seed=9)
         a = fit_lgcp(counts, factor, SMALL, cfg)
         b = fit_lgcp(counts, factor, SMALL, cfg)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
         c = fit_lgcp(counts, factor, SMALL, LgcpConfig(burn_in=50, n_samples=50, seed=10))
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_hoisted_loglik_equals_poisson_loglik(self, monkeypatch):
         """Every likelihood fit_lgcp evaluates, with log(c!) summed once per
-        player, equals the full poisson_loglik of the same field."""
+        player, equals the kernel's own full evaluation of the same field."""
         rng = np.random.default_rng(47)
         counts = rng.poisson(5.0, size=SMALL.n_tiles)
         factor = build_cov_factor(SMALL, KernelHyper())
@@ -251,7 +244,7 @@ class TestFitLgcp:
         assert len(seen) > 10
         for field, bias, area, log_norm, value in seen:
             assert log_norm is not None
-            assert value == poisson_loglik(counts, field, bias, area)
+            assert value == kernel(counts.astype(np.float64), field, bias, area)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -260,25 +253,6 @@ class TestFitLgcp:
             LgcpConfig(n_samples=0)
         with pytest.raises(ValueError):
             LgcpConfig(thinning=0)
-
-
-class TestNormalizeUnitVolume:
-    def test_unit_volume_and_original_returned(self):
-        values = np.linspace(0.1, 2.0, DESK.n_tiles)
-        surface = IntensitySurface(values, DESK)
-        unit, volume = normalize_unit_volume(surface)
-        assert volume == pytest.approx(values.sum() * 5.0)
-        assert unit.volume() == pytest.approx(1.0)
-        assert unit.normalized
-
-    def test_zero_volume_rejected(self):
-        surface = IntensitySurface(np.zeros(DESK.n_tiles), DESK)
-        with pytest.raises(ValueError):
-            normalize_unit_volume(surface)
-
-    def test_negative_values_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            IntensitySurface(-np.ones(DESK.n_tiles), DESK)
 
 
 class TestFitCohort:
@@ -294,8 +268,8 @@ class TestFitCohort:
             lone = fit_lgcp(
                 counts[i], factor, SMALL, cfg, rng=np.random.default_rng([5, 2, i])
             )
-            unit, vol = normalize_unit_volume(lone)
-            np.testing.assert_array_equal(surfaces[i], unit.values)
+            vol = lone.sum() * SMALL.tile_area
+            np.testing.assert_array_equal(surfaces[i], lone / vol)
             assert volumes[i] == vol
 
     def test_unit_volume_rows(self):
