@@ -14,7 +14,6 @@ import argparse
 import time
 
 import numpy as np
-from scipy.special import gammaln
 
 from shotfactor import backend
 from shotfactor.court import CourtGrid
@@ -37,7 +36,8 @@ def build_cases(seed):
 
     counts = rng.poisson(1.5, size=n_tiles).astype(np.float64)
     field = rng.normal(0.0, 1.0, size=n_tiles)
-    log_norm = gammaln(counts + 1.0).sum()  # fit_lgcp sums it once per player
+    # fit_lgcp sums log(c!) once per player
+    log_norm = backend.log_factorial(counts).sum()
 
     makes = rng.integers(0, 40, size=(n_players, k)).astype(np.float64)
     attempts = makes + rng.integers(0, 40, size=(n_players, k))

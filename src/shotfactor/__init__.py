@@ -7,7 +7,7 @@ bases, and topped with a hierarchical per-basis efficiency model.
 
 # The one place the version is set: pyproject.toml reads it, and the
 # pipeline keys every stage on it, so it is set before the submodule imports.
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .court import (
     CountMatrix,

@@ -1,4 +1,5 @@
-"""Compute kernels for the sampling inner loops.
+"""Compute kernels for the sampling inner loops, and the two special
+functions the models need (log-factorial and logistic).
 
 Each kernel has one pure-numpy implementation, vectorized over tiles, shots
 or players.  ``benchmarks/bench_kernels.py`` times them.
@@ -9,7 +10,28 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit, gammaln
+
+
+def log_factorial(counts):
+    """log(c!) of each non-negative integer count, same shape as ``counts``.
+
+    Values are exact ``math.lgamma(c + 1)``, looked up in a table that runs
+    to the largest count.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    top = int(counts.max()) + 1 if counts.size else 0
+    table = np.array([math.lgamma(c + 1.0) for c in range(top)], dtype=np.float64)
+    return table[counts]
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), elementwise.
+
+    exp(-x) overflows to inf below x = -709 and underflows to 0 above
+    x = 745; both give the exact limit (0 or 1), so neither is an error.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def poisson_field_loglik(counts, field, bias, area, log_norm=None):
@@ -20,7 +42,7 @@ def poisson_field_loglik(counts, field, bias, area, log_norm=None):
     evaluates the same counts many times passes it in.
     """
     if log_norm is None:
-        log_norm = gammaln(counts + 1.0).sum()
+        log_norm = log_factorial(counts).sum()
     log_rate = field + bias
     return float(
         np.dot(counts, math.log(area) + log_rate)

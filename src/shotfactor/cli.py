@@ -27,8 +27,8 @@ from .synth import generate_dataset
 
 
 # (get, set) thread-count symbols, in the order they are looked up: the
-# scipy-openblas builds bundled with numpy (ILP64) and scipy, then plain
-# OpenBLAS builds with and without the 64-bit suffix.
+# OpenBLAS builds bundled with numpy wheels (ILP64, then 32-bit integers),
+# then plain OpenBLAS builds with and without the 64-bit suffix.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),

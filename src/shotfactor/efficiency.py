@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import backend
 from .court import write_labeled_csv
@@ -143,7 +142,7 @@ def predict_fg_pct(
 ) -> float:
     """Make probability at a tile: type posterior mixed over per-type rates."""
     probs = shot_type_posterior(tile, weights_row, bases)
-    return float(probs @ expit(np.asarray(logits_row, dtype=np.float64)))
+    return float(probs @ backend.expit(np.asarray(logits_row, dtype=np.float64)))
 
 
 def sample_shot_types(
@@ -280,7 +279,7 @@ def fit_efficiency(
             beta0_sum += beta0
             beta_sum += beta
             sigma2_sum += sigma2
-            prob_sum += expit(beta)
+            prob_sum += backend.expit(beta)
 
     model = EfficiencyModel(
         beta0=beta0_sum / kept,

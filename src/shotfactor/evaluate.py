@@ -14,8 +14,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
+from .backend import log_factorial
 from .court import CountMatrix
 from .nmf import NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
@@ -103,7 +103,7 @@ def heldout_loglik(
     counts = np.asarray(test_counts, dtype=np.float64)
     scale = np.asarray(train_volumes, dtype=np.float64) * fraction / (1.0 - fraction)
     lam = area * np.maximum(unit_rows * scale[:, None], EPS)
-    return np.sum(counts * np.log(lam) - lam - gammaln(counts + 1.0), axis=1)
+    return np.sum(counts * np.log(lam) - lam - log_factorial(counts), axis=1)
 
 
 def basis_recovery_score(b_hat: np.ndarray, b_star: np.ndarray) -> RecoveryScore:

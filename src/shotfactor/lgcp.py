@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import backend
 from .court import CourtGrid
@@ -111,7 +110,7 @@ def fit_lgcp(
     area = grid.tile_area
     counts_f = np.ascontiguousarray(counts, dtype=np.float64)
     # log(c!) does not depend on the field: sum it once per player
-    log_norm = gammaln(counts_f + 1.0).sum()
+    log_norm = backend.log_factorial(counts).sum()
 
     def loglik(z):
         return backend.poisson_field_loglik(counts_f, z, bias, area, log_norm)

@@ -218,12 +218,18 @@ class StageRunner:
                 old = dict(json.load(f))
         except (OSError, ValueError, TypeError):
             old = {}
-        # A state that is not a JSON object counts as none; one without
-        # "stages" (one key per run) reruns every stage once.
+        # A state without "stages" (one key per run) reruns every stage once;
+        # one that is not a JSON object, or whose fields are not
+        # string-to-string objects, counts as none.
         self.state = {
             "artifacts": old.get("artifacts", {}),
             "stages": old.get("stages", {}),
         }
+        if not all(
+            isinstance(field, dict) and all(isinstance(v, str) for v in field.values())
+            for field in self.state.values()
+        ):
+            self.state = {"artifacts": {}, "stages": {}}
 
     def checksum(self, path) -> str:
         """SHA-256 of ``path``, or "absent" when there is no such file."""

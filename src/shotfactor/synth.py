@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import backend
 from .court import CourtGrid, ShotEvent, tile_indices, write_labeled_csv, write_shot_csv
@@ -155,7 +154,7 @@ def sample_outcomes(
         tiles,
         rng.random(s),
     )
-    probs = expit(np.asarray(beta_row, dtype=np.float64)[types])
+    probs = backend.expit(np.asarray(beta_row, dtype=np.float64)[types])
     return (rng.random(s) < probs).astype(np.int64)
 
 

@@ -4,7 +4,8 @@ reference."""
 import math
 
 import numpy as np
-from scipy.special import expit
+import pytest
+from scipy.special import expit, gammaln
 from scipy.stats import poisson
 
 from shotfactor import backend as bk
@@ -15,6 +16,29 @@ def _random_loglik_case(rng, v=40):
     bias = float(rng.normal())
     area = float(rng.uniform(0.5, 5.0))
     return counts, field, bias, area
+
+
+class TestLogFactorial:
+    @pytest.mark.parametrize(
+        "counts",
+        [np.arange(501), np.zeros((3, 4), dtype=np.int64), np.zeros(0)],
+        ids=["0..500", "all_zero", "empty"],
+    )
+    def test_matches_scipy_gammaln(self, counts):
+        got = bk.log_factorial(counts)
+        assert got.shape == counts.shape and got.dtype == np.float64
+        np.testing.assert_allclose(got, gammaln(counts + 1.0), rtol=1e-14)
+
+
+class TestExpit:
+    def test_matches_scipy_without_warnings(self):
+        """Close to scipy's expit across the range where exp(-x) overflows
+        or underflows, with no floating-point error raised."""
+        x = np.linspace(-800.0, 800.0, 16001)
+        with np.errstate(all="raise"):
+            got = bk.expit(x)
+        np.testing.assert_allclose(got, expit(x), rtol=0, atol=1e-15)
+        assert got[0] == 0.0 and got[-1] == 1.0
 
 
 class TestPoissonFieldLoglik:

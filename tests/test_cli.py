@@ -3,6 +3,9 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +80,23 @@ def _stage_outputs(out_dir):
         for p in out_dir.iterdir()
         if p.is_file() and not p.name.startswith("pipeline_")
     }
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime needs numpy only: importing the CLI loads no scipy module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, shotfactor.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestConfigParsing:
@@ -466,6 +486,34 @@ class TestPipelineCommand:
         assert out.count("done (no record)") == 5
         assert _stage_outputs(out_dir) == before
         assert (out_dir / "pipeline_state.txt").read_text() == state_path.read_text()
+
+    @pytest.mark.parametrize(
+        "bad_state",
+        [{"artifacts": [], "stages": {}}, {"artifacts": {}, "stages": []}],
+        ids=["artifacts_list", "stages_list"],
+    )
+    def test_malformed_state_reruns_stage(self, finished, tmp_path, capsys, bad_state):
+        """A state whose fields are not string-to-string objects counts as
+        none: the stage reruns to the same bytes and a valid state is saved."""
+        out_dir = tmp_path / "artifacts"
+        shutil.copytree(finished, out_dir)
+        (out_dir / "pipeline_state.txt").write_text(json.dumps(bad_state))
+        before = _stage_outputs(out_dir)
+        config_path = _write_config(
+            str(tmp_path), shots=str(finished.parent / "data" / "shots.csv")
+        )
+        capsys.readouterr()
+        assert main(["ingest", "--config", config_path]) == 0
+        assert "[ingest] done (no record)" in capsys.readouterr().out
+        assert _stage_outputs(out_dir) == before
+        state = json.loads((out_dir / "pipeline_state.txt").read_text())
+        assert sorted(state["artifacts"]) == [
+            "counts_test.csv",
+            "counts_train.csv",
+            "shots_test.csv",
+            "shots_train.csv",
+        ]
+        assert list(state["stages"]) == ["ingest"]
 
     def test_corrupted_intermediate_reruns_stage(self, workspace, tmp_path, capsys):
         """A checksum mismatch triggers regeneration of that stage."""
