@@ -12,13 +12,12 @@ __version__ = "0.3.0"
 from .court import (
     CountMatrix,
     CourtGrid,
-    ShotEvent,
+    ShotTable,
     build_count_matrix,
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
     split_holdout,
-    tile_index,
     tile_indices,
     write_count_csv,
     write_labeled_csv,
@@ -91,7 +90,7 @@ __all__ = [
     "PcaModel",
     "PipelineConfig",
     "PlantedTruth",
-    "ShotEvent",
+    "ShotTable",
     "SynthConfig",
     "adjust_weights",
     "basis_recovery_score",
@@ -129,7 +128,6 @@ __all__ = [
     "shot_type_posterior",
     "split_holdout",
     "squared_exponential",
-    "tile_index",
     "tile_indices",
     "write_count_csv",
     "write_labeled_csv",

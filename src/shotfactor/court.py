@@ -65,18 +65,41 @@ class CourtGrid:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass(frozen=True)
-class ShotEvent:
-    """One field-goal attempt: who, where on the court, and the outcome."""
+@dataclass(eq=False)
+class ShotTable:
+    """Field-goal attempts as four equal-length columns: row i says that
+    ``players[i]`` shot from ``(x[i], y[i])`` and made it (``made[i]`` = 1)
+    or missed (0)."""
 
-    player: str
-    x: float
-    y: float
-    made: int
+    players: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    made: np.ndarray
 
     def __post_init__(self):
-        if self.made not in (0, 1):
-            raise ValueError(f"made must be 0 or 1, got {self.made!r}")
+        self.players = np.asarray(self.players, dtype=str)
+        self.x = np.asarray(self.x, dtype=np.float64)
+        self.y = np.asarray(self.y, dtype=np.float64)
+        made = np.asarray(self.made)
+        shapes = {c.shape for c in (self.players, self.x, self.y, made)}
+        if len(shapes) != 1 or made.ndim != 1:
+            raise ValueError(f"columns must be 1-D of one length, got {shapes}")
+        bad = (made != 0) & (made != 1)
+        if np.any(bad):
+            raise ValueError(f"made must be 0 or 1, got {made[bad][0].item()!r}")
+        self.made = made.astype(np.int64)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def take(self, rows) -> ShotTable:
+        """The shots at ``rows`` (indices or a boolean mask), in that order."""
+        return ShotTable(self.players[rows], self.x[rows], self.y[rows], self.made[rows])
+
+    def player_rows(self, players: Sequence[str]) -> np.ndarray:
+        """Each shot's position in ``players``, or -1 for a player not in it."""
+        row = {p: i for i, p in enumerate(players)}
+        return np.array([row.get(p, -1) for p in self.players.tolist()], dtype=np.int64)
 
 
 @dataclass
@@ -89,48 +112,37 @@ class CountMatrix:
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2:
-            raise ValueError("counts must be 2-D")
         if self.counts.shape != (len(self.players), self.grid.n_tiles):
             raise ValueError("counts shape does not match players x tiles")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
 
 
-def tile_index(x: float, y: float, grid: CourtGrid) -> int:
-    """Map an in-court point to its row-major tile id.
-
-    Raises ValueError for points outside the court rectangle.
-    """
-    if not (0.0 <= x <= grid.width and 0.0 <= y <= grid.length):
-        raise ValueError(
-            f"point ({x}, {y}) lies outside the {grid.width} x {grid.length} court"
-        )
-    tx, ty = grid.tile_dims
-    ix = min(int(x // tx), grid.nx - 1)
-    iy = min(int(y // ty), grid.ny - 1)
-    return iy * grid.nx + ix
-
-
 def tile_indices(xs: np.ndarray, ys: np.ndarray, grid: CourtGrid) -> np.ndarray:
-    """Vectorized tile_index; raises naming the first offending point."""
+    """Row-major tile id of each point; the court's far edges fold into the
+    last tile, and a point off the court (or NaN) raises ValueError."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    bad = (xs < 0) | (xs > grid.width) | (ys < 0) | (ys > grid.length)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"point ({xs[i]}, {ys[i]}) lies outside the "
-            f"{grid.width} x {grid.length} court"
-        )
+    _require_on_court(xs, ys, grid)
     tx, ty = grid.tile_dims
     ix = np.minimum((xs // tx).astype(np.int64), grid.nx - 1)
     iy = np.minimum((ys // ty).astype(np.int64), grid.ny - 1)
     return iy * grid.nx + ix
 
 
+def _require_on_court(xs, ys, grid: CourtGrid, where=lambda i: "") -> None:
+    """Raise for the first point off the court (or NaN), prefixed by where(i)."""
+    bad = ~((xs >= 0) & (xs <= grid.width) & (ys >= 0) & (ys <= grid.length))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{where(i)}point ({xs[i]}, {ys[i]}) lies outside the "
+            f"{grid.width} x {grid.length} court"
+        )
+
+
 def build_count_matrix(
-    shots: Sequence[ShotEvent],
+    shots: ShotTable,
     grid: CourtGrid,
     min_attempts: int = 50,
     players: Sequence[str] | None = None,
@@ -142,61 +154,50 @@ def build_count_matrix(
     which is how train/test matrices stay aligned.  Row order is otherwise
     sorted player id.
     """
-    if not shots:
+    if len(shots) == 0:
         raise ValueError("no shots supplied")
     if players is None:
-        totals: dict[str, int] = {}
-        for s in shots:
-            totals[s.player] = totals.get(s.player, 0) + 1
-        players = sorted(p for p, m in totals.items() if m >= min_attempts)
+        names, totals = np.unique(shots.players, return_counts=True)
+        players = names[totals >= min_attempts].tolist()
         if not players:
             raise ValueError(
                 f"no player reaches the minimum of {min_attempts} attempts"
             )
-    row = {p: i for i, p in enumerate(players)}
-    counts = np.zeros((len(players), grid.n_tiles), dtype=np.int64)
-    for s in shots:
-        i = row.get(s.player)
-        if i is None:
-            continue
-        counts[i, tile_index(s.x, s.y, grid)] += 1
-    return CountMatrix(counts, list(players), grid)
+    rows = shots.player_rows(players)
+    keep = rows >= 0
+    cells = rows[keep] * grid.n_tiles + tile_indices(shots.x[keep], shots.y[keep], grid)
+    counts = np.bincount(cells, minlength=len(players) * grid.n_tiles)
+    return CountMatrix(counts.reshape(len(players), grid.n_tiles), list(players), grid)
 
 
 def split_holdout(
-    shots: Sequence[ShotEvent], fraction: float, seed: int
-) -> tuple[list[ShotEvent], list[ShotEvent]]:
+    shots: ShotTable, fraction: float, seed: int
+) -> tuple[ShotTable, ShotTable]:
     """Per-player uniform holdout split without replacement.
 
     Each player contributes round(fraction * M) shots to the test set, at
     least 1 when M >= 2 and at most M - 1 so training is never empty; a
     single-shot player stays entirely in train.  Per-player draws come from
     streams derived from (seed, player rank), so the split does not depend
-    on input order.
+    on input order.  Both parts keep the input's row order.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    by_player: dict[str, list[int]] = {}
-    for i, s in enumerate(shots):
-        by_player.setdefault(s.player, []).append(i)
+    # draw over content-sorted positions so shuffled input gives the same
+    # partition (up to exact-duplicate shots)
+    order = np.lexsort((shots.made, shots.y, shots.x, shots.players))
+    _, starts, sizes = np.unique(
+        shots.players[order], return_index=True, return_counts=True
+    )
     in_test = np.zeros(len(shots), dtype=bool)
-    for rank, player in enumerate(sorted(by_player)):
-        # draw over content-sorted positions so shuffled input gives the
-        # same partition (up to exact-duplicate shots)
-        idx = sorted(
-            by_player[player], key=lambda i: (shots[i].x, shots[i].y, shots[i].made)
-        )
-        m = len(idx)
+    for rank, (start, m) in enumerate(zip(starts.tolist(), sizes.tolist())):
         if m < 2:
             continue
         k = min(max(int(round(fraction * m)), 1), m - 1)
         # stream tag 1: split draws stay disjoint from other stages on one seed
         rng = np.random.default_rng([seed, 1, rank])
-        for j in rng.choice(m, size=k, replace=False):
-            in_test[idx[j]] = True
-    train = [s for i, s in enumerate(shots) if not in_test[i]]
-    test = [s for i, s in enumerate(shots) if in_test[i]]
-    return train, test
+        in_test[order[start + rng.choice(m, size=k, replace=False)]] = True
+    return shots.take(~in_test), shots.take(in_test)
 
 
 # ---------------------------------------------------------------------------
@@ -206,35 +207,51 @@ def split_holdout(
 SHOT_HEADER = ["player", "x", "y", "made"]
 
 
-def write_shot_csv(path, shots: Sequence[ShotEvent]) -> None:
+def write_shot_csv(path, shots: ShotTable) -> None:
+    # row by row, so no column is copied into a list of Python objects
+    xs, ys = map(repr, map(float, shots.x)), map(repr, map(float, shots.y))
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SHOT_HEADER)
-        for s in shots:
-            writer.writerow([s.player, repr(float(s.x)), repr(float(s.y)), s.made])
+        writer.writerows(zip(shots.players, xs, ys, map(int, shots.made)))
 
 
-def read_shot_csv(path, grid: CourtGrid | None = None) -> list[ShotEvent]:
-    """Read shots, validating outcomes and (when a grid is given) locations."""
-    shots = []
+def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
+    """Read shots written by write_shot_csv.
+
+    After the ``player,x,y,made`` header (in any column order) every row
+    holds four fields, numeric coordinates and a 0/1 outcome, and, when a
+    grid is given, a point on the court.  A row that breaks this raises
+    ValueError naming the file and line; a file without rows names the file.
+    """
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = set(SHOT_HEADER) - set(reader.fieldnames or [])
+        reader = csv.reader(f)
+        header = next(reader, [])
+        missing = sorted(set(SHOT_HEADER) - set(header))
         if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        for line, row in enumerate(reader, start=2):
+            raise ValueError(f"{path}:1: missing columns {missing}")
+        if len(header) != len(SHOT_HEADER):
+            raise ValueError(f"{path}:1: columns {header}, expected {SHOT_HEADER}")
+        ip, ix, iy, im = (header.index(c) for c in SHOT_HEADER)
+        players, xs, ys, made, lines = [], [], [], [], []
+        for row in reader:
             try:
-                shot = ShotEvent(
-                    player=row["player"],
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    made=int(row["made"]),
-                )
+                if len(row) != len(SHOT_HEADER):
+                    raise ValueError(f"{len(row)} fields, expected {len(SHOT_HEADER)}")
+                xs.append(float(row[ix]))
+                ys.append(float(row[iy]))
+                made.append(int(row[im]))
+                if made[-1] not in (0, 1):
+                    raise ValueError(f"made must be 0 or 1, got {made[-1]}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from exc
-            if grid is not None:
-                tile_index(shot.x, shot.y, grid)
-            shots.append(shot)
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            players.append(row[ip])
+            lines.append(reader.line_num)
+    if not lines:
+        raise ValueError(f"{path}: no shots")
+    shots = ShotTable(players, xs, ys, made)
+    if grid is not None:
+        _require_on_court(shots.x, shots.y, grid, lambda i: f"{path}:{lines[i]}: ")
     return shots
 
 

@@ -118,23 +118,17 @@ def adjust_weights(model: FactorModel) -> AdjustedLoadings:
 
 
 def shot_type_posterior(
-    tile: int, weights_row: np.ndarray, bases: np.ndarray, return_flag: bool = False
-):
+    tile: int, weights_row: np.ndarray, bases: np.ndarray
+) -> np.ndarray:
     """p(k | tile) for one attempt: weights times basis density, normalized.
 
-    A tile that no basis can produce gets a uniform vector and, when
-    ``return_flag`` is set, a True degeneracy flag.
+    A tile that no basis can produce gets a uniform vector.
     """
     raw = np.asarray(weights_row, dtype=np.float64) * bases[:, tile]
     total = raw.sum()
-    degenerate = total <= 0
-    if degenerate:
-        probs = np.full(len(raw), 1.0 / len(raw))
-    else:
-        probs = raw / total
-    if return_flag:
-        return probs, degenerate
-    return probs
+    if total <= 0:
+        return np.full(len(raw), 1.0 / len(raw))
+    return raw / total
 
 
 def predict_fg_pct(

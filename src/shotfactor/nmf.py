@@ -212,11 +212,9 @@ def fit_pca(data, k: int) -> PcaModel:
     )
 
 
-def pca_reconstruct(model: PcaModel, n: int | None = None) -> np.ndarray:
-    """Mean plus the top-k projection, for one row or the whole matrix."""
-    if n is None:
-        return model.mean + model.scores @ model.components
-    return model.mean + model.scores[n] @ model.components
+def pca_reconstruct(model: PcaModel) -> np.ndarray:
+    """Mean plus the top-k projection of every row."""
+    return model.mean + model.scores @ model.components
 
 
 # ---------------------------------------------------------------------------

@@ -295,9 +295,8 @@ def stage_ingest(inputs, outputs, grid: CourtGrid, fraction, min_attempts, seed)
     train, test = split_holdout(shots, fraction, seed)
     cm_train = build_count_matrix(train, grid, min_attempts=min_attempts)
     cm_test = build_count_matrix(test, grid, 0, players=cm_train.players)
-    keep = set(cm_train.players)
-    write_shot_csv(shots_train, [s for s in train if s.player in keep])
-    write_shot_csv(shots_test, [s for s in test if s.player in keep])
+    write_shot_csv(shots_train, train.take(train.player_rows(cm_train.players) >= 0))
+    write_shot_csv(shots_test, test.take(test.player_rows(cm_train.players) >= 0))
     write_count_csv(counts_train, cm_train)
     write_count_csv(counts_test, cm_test)
 
@@ -339,16 +338,12 @@ def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyCon
     model, players = read_factor_model(factors_w.removesuffix("_W.csv"))
     loadings = adjust_weights(model)
     shots = read_shot_csv(shots_path, grid)
-    row = {player: i for i, player in enumerate(players)}
-    missing = sorted({s.player for s in shots} - set(players))
-    if missing:
+    idx = shots.player_rows(players)
+    if np.any(idx < 0):
+        missing = sorted(set(shots.players[idx < 0].tolist()))
         raise ValueError(f"shots reference players without loadings: {missing[:5]}")
-    idx = np.array([row[s.player] for s in shots], dtype=np.int64)
-    tiles = tile_indices(
-        np.array([s.x for s in shots]), np.array([s.y for s in shots]), grid
-    )
-    made = np.array([s.made for s in shots], dtype=np.int64)
-    fit = fit_efficiency(idx, tiles, made, loadings, efficiency)
+    tiles = tile_indices(shots.x, shots.y, grid)
+    fit = fit_efficiency(idx, tiles, shots.made, loadings, efficiency)
     write_efficiency_csv(beta_path.removesuffix("_beta.csv"), fit.model, players)
     ids = ["global"] + list(players)
     rows = np.vstack(

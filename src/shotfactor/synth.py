@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .court import CourtGrid, ShotEvent, tile_indices, write_labeled_csv, write_shot_csv
+from .court import CourtGrid, ShotTable, tile_indices, write_labeled_csv, write_shot_csv
 
 # Basket center in court coordinates: centered across the width, a few feet
 # up from the baseline (which sits at y = 0).
@@ -191,26 +191,23 @@ def make_planted_truth(config: SynthConfig) -> PlantedTruth:
     )
 
 
-def generate_shots(truth: PlantedTruth, seed: int) -> list[ShotEvent]:
+def generate_shots(truth: PlantedTruth, seed: int) -> ShotTable:
     """All players' shots with outcomes, via per-player derived streams."""
-    shots: list[ShotEvent] = []
+    players, xs, ys, made = [], [], [], []
     for n, player in enumerate(truth.players):
         # stream tag 7: one stream per player, independent of player order
         rng = np.random.default_rng([seed, 7, n])
-        xs, ys = sample_player_shots(
+        x, y = sample_player_shots(
             truth.weights[n], truth.bases, truth.budgets[n], truth.grid, rng
         )
-        if len(xs) == 0:
-            continue
-        tiles = tile_indices(xs, ys, truth.grid)
-        made = sample_outcomes(
-            tiles, truth.weights[n], truth.bases, truth.beta[n], rng
+        tiles = tile_indices(x, y, truth.grid)
+        players += [player] * len(x)
+        xs.append(x)
+        ys.append(y)
+        made.append(
+            sample_outcomes(tiles, truth.weights[n], truth.bases, truth.beta[n], rng)
         )
-        shots.extend(
-            ShotEvent(player, float(x), float(y), int(m))
-            for x, y, m in zip(xs, ys, made)
-        )
-    return shots
+    return ShotTable(players, np.concatenate(xs), np.concatenate(ys), np.concatenate(made))
 
 
 def generate_dataset(config: SynthConfig, out_dir) -> dict:

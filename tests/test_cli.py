@@ -334,6 +334,15 @@ class TestStageCommands:
         assert main(["factorize", *argv, "--k", "40"]) == STAGE_CODES["factorize"]
         assert "factorize" in capsys.readouterr().err
 
+    def test_off_court_shot_fails_ingest_with_location(self, tmp_path, capsys):
+        """A shot off the court fails ingest, naming the file and line."""
+        shots = tmp_path / "shots.csv"
+        shots.write_text("player,x,y,made\np1,1.0,2.0,1\np1,40.0,2.0,0\n")
+        config_path = _write_config(str(tmp_path), shots=str(shots))
+        argv = ["ingest", "--config", config_path, "--out", str(tmp_path / "out")]
+        assert main(argv) == STAGE_CODES["ingest"]
+        assert "shots.csv:3:" in capsys.readouterr().err
+
 
 class TestPipelineCommand:
     def _run(self, workspace, out_dir):

@@ -7,13 +7,12 @@ import pytest
 from shotfactor.court import (
     CountMatrix,
     CourtGrid,
-    ShotEvent,
+    ShotTable,
     build_count_matrix,
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
     split_holdout,
-    tile_index,
     tile_indices,
     write_count_csv,
     write_labeled_csv,
@@ -27,13 +26,29 @@ DESK = CourtGrid(tile_size=(2.5, 2.0))
 
 
 def _random_shots(rng, players, per_player, grid=DESK):
-    shots = []
-    for p in players:
-        xs = rng.uniform(0, grid.width, size=per_player)
-        ys = rng.uniform(0, grid.length, size=per_player)
-        made = rng.integers(0, 2, size=per_player)
-        shots += [ShotEvent(p, float(x), float(y), int(m)) for x, y, m in zip(xs, ys, made)]
-    return shots
+    n = len(players) * per_player
+    return ShotTable(
+        np.repeat(players, per_player),
+        rng.uniform(0, grid.width, size=n),
+        rng.uniform(0, grid.length, size=n),
+        rng.integers(0, 2, size=n),
+    )
+
+
+def _shots(*rows):
+    """A table from (player, x, y, made) rows."""
+    return ShotTable(*(zip(*rows) if rows else [[]] * 4))
+
+
+def _rows(shots):
+    """The table as sorted (player, x, y, made) tuples."""
+    return sorted(zip(shots.players.tolist(), shots.x.tolist(),
+                      shots.y.tolist(), shots.made.tolist()))
+
+
+def _concat(*tables):
+    return ShotTable(*(np.concatenate([getattr(t, c) for t in tables])
+                       for c in ("players", "x", "y", "made")))
 
 
 class TestCourtGrid:
@@ -51,7 +66,7 @@ class TestCourtGrid:
         """Tile counts use ceiling division so edge tiles absorb the remainder."""
         g = CourtGrid(tile_size=3.0)
         assert (g.nx, g.ny, g.n_tiles) == (12, 17, 204)
-        assert tile_index(35.0, 50.0, g) == 203
+        assert tile_indices([35.0], [50.0], g).tolist() == [203]
 
     def test_tile_centers_row_major_x_fastest(self):
         centers = DESK.tile_centers()
@@ -64,31 +79,22 @@ class TestCourtGrid:
 
 class TestTileIndex:
     def test_origin_and_far_corner(self):
-        assert tile_index(0.0, 0.0, DESK) == 0
-        assert tile_index(35.0, 50.0, DESK) == 349
+        assert tile_indices([0.0, 35.0], [0.0, 50.0], DESK).tolist() == [0, 349]
 
     def test_boundary_points_clamp_to_last_tile(self):
         """Points on the right or top edge belong to the edge tile."""
-        assert tile_index(35.0, 0.0, DESK) == 13
-        assert tile_index(0.0, 50.0, DESK) == 336
+        assert tile_indices([35.0, 0.0], [0.0, 50.0], DESK).tolist() == [13, 336]
 
     def test_out_of_court_raises(self):
-        for x, y in [(-0.1, 5.0), (35.1, 5.0), (5.0, -0.1), (5.0, 50.1)]:
-            with pytest.raises(ValueError):
-                tile_index(x, y, DESK)
+        for x, y in [(-0.1, 5.0), (35.1, 5.0), (5.0, -0.1), (5.0, 50.1), (np.nan, 5.0)]:
+            with pytest.raises(ValueError, match="outside the 35.0 x 50.0 court"):
+                tile_indices([1.0, x], [1.0, y], DESK)
 
     def test_center_round_trip(self):
         centers = DESK.tile_centers()
-        for v in range(DESK.n_tiles):
-            assert tile_index(centers[v, 0], centers[v, 1], DESK) == v
-
-    def test_vectorised_matches_scalar(self):
-        rng = np.random.default_rng(42)
-        xs = rng.uniform(0, 35, size=500)
-        ys = rng.uniform(0, 50, size=500)
-        got = tile_indices(xs, ys, DESK)
-        expected = [tile_index(x, y, DESK) for x, y in zip(xs, ys)]
-        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(
+            tile_indices(centers[:, 0], centers[:, 1], DESK), np.arange(DESK.n_tiles)
+        )
 
     def test_vectorised_out_of_court_raises(self):
         with pytest.raises(ValueError):
@@ -105,7 +111,7 @@ class TestBuildCountMatrix:
 
     def test_min_attempts_filter(self):
         rng = np.random.default_rng(8)
-        shots = _random_shots(rng, ["big"], 80) + _random_shots(rng, ["small"], 10)
+        shots = _concat(_random_shots(rng, ["big"], 80), _random_shots(rng, ["small"], 10))
         cm = build_count_matrix(shots, DESK, min_attempts=50)
         assert cm.players == ["big"]
 
@@ -117,18 +123,17 @@ class TestBuildCountMatrix:
         assert cm.counts.sum() == 10
 
     def test_pinned_player_with_no_shots_gets_zero_row(self):
-        shots = [ShotEvent("a", 1.0, 1.0, 1)]
+        shots = _shots(("a", 1.0, 1.0, 1))
         cm = build_count_matrix(shots, DESK, players=["a", "ghost"])
         assert cm.counts[1].sum() == 0
 
     def test_no_qualifying_player_raises(self):
-        shots = [ShotEvent("a", 1.0, 1.0, 1)]
+        shots = _shots(("a", 1.0, 1.0, 1))
         with pytest.raises(ValueError):
             build_count_matrix(shots, DESK, min_attempts=50)
 
     def test_correct_tile_increment(self):
-        shots = [ShotEvent("a", 0.5, 0.5, 0), ShotEvent("a", 0.5, 0.5, 1),
-                 ShotEvent("a", 34.0, 49.0, 1)]
+        shots = _shots(("a", 0.5, 0.5, 0), ("a", 0.5, 0.5, 1), ("a", 34.0, 49.0, 1))
         cm = build_count_matrix(shots, DESK, players=["a"])
         assert cm.counts[0, 0] == 2
         assert cm.counts[0, 349] == 1
@@ -145,27 +150,22 @@ class TestSplitHoldout:
         shots = _random_shots(rng, ["a", "b"], 40)
         train, test = split_holdout(shots, 0.1, seed=3)
         assert len(train) + len(test) == len(shots)
-        ids = lambda part: sorted((s.player, s.x, s.y, s.made) for s in part)
-        merged = sorted(ids(train) + ids(test))
-        assert merged == ids(shots)
+        assert sorted(_rows(train) + _rows(test)) == _rows(shots)
 
     def test_per_player_test_size(self):
         rng = np.random.default_rng(11)
-        shots = _random_shots(rng, ["a"], 40) + _random_shots(rng, ["b"], 7)
+        shots = _concat(_random_shots(rng, ["a"], 40), _random_shots(rng, ["b"], 7))
         _, test = split_holdout(shots, 0.1, seed=0)
-        by = {}
-        for s in test:
-            by[s.player] = by.get(s.player, 0) + 1
-        assert by["a"] == 4
-        assert by["b"] == 1
+        assert np.sum(test.players == "a") == 4
+        assert np.sum(test.players == "b") == 1
 
     def test_single_shot_player_stays_in_train(self):
-        shots = [ShotEvent("solo", 5.0, 5.0, 1)]
+        shots = _shots(("solo", 5.0, 5.0, 1))
         train, test = split_holdout(shots, 0.5, seed=0)
         assert len(train) == 1 and len(test) == 0
 
     def test_train_never_empty(self):
-        shots = [ShotEvent("a", 1.0, 1.0, 0), ShotEvent("a", 2.0, 2.0, 1)]
+        shots = _shots(("a", 1.0, 1.0, 0), ("a", 2.0, 2.0, 1))
         train, test = split_holdout(shots, 0.95, seed=0)
         assert len(train) == 1 and len(test) == 1
 
@@ -174,30 +174,48 @@ class TestSplitHoldout:
         shots = _random_shots(rng, ["a", "b", "c"], 30)
         first = split_holdout(shots, 0.2, seed=5)
         second = split_holdout(shots, 0.2, seed=5)
-        assert first == second
+        for a, b in zip(first, second):
+            for column in ("players", "x", "y", "made"):
+                np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
     def test_input_order_invariant(self):
         """The same shots shuffled produce the same partition as sets."""
         rng = np.random.default_rng(13)
         shots = _random_shots(rng, ["a", "b", "c"], 25)
-        perm = list(rng.permutation(len(shots)))
-        shuffled = [shots[i] for i in perm]
+        shuffled = shots.take(rng.permutation(len(shots)))
         _, test_a = split_holdout(shots, 0.2, seed=9)
         _, test_b = split_holdout(shuffled, 0.2, seed=9)
-        key = lambda part: sorted((s.player, s.x, s.y) for s in part)
-        assert key(test_a) == key(test_b)
+        assert _rows(test_a) == _rows(test_b)
 
     def test_bad_fraction_rejected(self):
-        shots = [ShotEvent("a", 1.0, 1.0, 0)]
+        shots = _shots(("a", 1.0, 1.0, 0))
         for f in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 split_holdout(shots, f, seed=0)
 
 
-class TestShotEvent:
+class TestShotTable:
     def test_made_must_be_binary(self):
-        with pytest.raises(ValueError):
-            ShotEvent("a", 1.0, 1.0, 2)
+        with pytest.raises(ValueError, match="made must be 0 or 1, got 2"):
+            _shots(("a", 1.0, 1.0, 1), ("a", 1.0, 1.0, 2))
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ValueError, match="one length"):
+            ShotTable(["a", "b"], [1.0, 2.0], [1.0], [0, 1])
+
+    def test_take_keeps_row_order(self):
+        shots = _shots(("a", 1.0, 2.0, 0), ("b", 3.0, 4.0, 1), ("c", 5.0, 6.0, 1))
+        part = shots.take([2, 0])
+        assert part.players.tolist() == ["c", "a"]
+        assert part.x.tolist() == [5.0, 1.0] and part.made.tolist() == [1, 0]
+
+
+SHOTS_GOLDEN = (
+    b"player,x,y,made\r\n"
+    b"p01,0.1,49.99999999999999,1\r\n"
+    b"p00,35.0,0.0,0\r\n"
+    b"p01,17.5,5.25,0\r\n"
+)
 
 
 class TestShotCsvRoundTrip:
@@ -207,7 +225,24 @@ class TestShotCsvRoundTrip:
         path = tmp_path / "shots.csv"
         write_shot_csv(path, shots)
         back = read_shot_csv(path)
-        assert back == shots
+        for column in ("players", "x", "y", "made"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(shots, column))
+
+    def test_writer_golden_bytes(self, tmp_path):
+        """Floats as repr, the outcome as an int, csv row ends."""
+        path = tmp_path / "shots.csv"
+        write_shot_csv(path, _shots(
+            ("p01", 0.1, 49.99999999999999, 1), ("p00", 35.0, 0.0, 0), ("p01", 17.5, 5.25, 0)
+        ))
+        assert path.read_bytes() == SHOTS_GOLDEN
+
+    def test_synth_shots_rewrite_byte_for_byte(self, tmp_path):
+        config = SynthConfig(n_players=4, budget_range=(20, 40), seed=3, grid=DESK)
+        files = generate_dataset(config, tmp_path)
+        path = tmp_path / "again.csv"
+        write_shot_csv(path, read_shot_csv(files["shots"], DESK))
+        with open(files["shots"], "rb") as f:
+            assert path.read_bytes() == f.read()
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -223,11 +258,43 @@ class TestShotCsvRoundTrip:
 
     def test_grid_validation_rejects_out_of_court(self, tmp_path):
         path = tmp_path / "far.csv"
-        write_shot_csv(path, [ShotEvent("a", 1.0, 1.0, 1)])
+        write_shot_csv(path, _shots(("a", 1.0, 1.0, 1)))
         read_shot_csv(path, DESK)
         path.write_text("player,x,y,made\na,99.0,1.0,1\n")
         with pytest.raises(ValueError):
             read_shot_csv(path, DESK)
+
+    def test_off_court_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,1.0,2.0,1\np1,40.0,2.0,0\n")
+        with pytest.raises(
+            ValueError, match=r"shots\.csv:3: point \(40\.0, 2\.0\) lies outside"
+        ):
+            read_shot_csv(path, DESK)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,1.0,2.0,1\np1,3.0\n")
+        with pytest.raises(ValueError, match=r"shots\.csv:3: 2 fields, expected 4"):
+            read_shot_csv(path)
+
+    def test_extra_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,1.0,2.0,1,9\n")
+        with pytest.raises(ValueError, match=r"shots\.csv:2: 5 fields, expected 4"):
+            read_shot_csv(path)
+
+    def test_header_only_file_names_file(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        write_shot_csv(path, _shots())
+        with pytest.raises(ValueError, match=r"shots\.csv: no shots"):
+            read_shot_csv(path)
+
+    def test_made_two_names_file_and_line(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,1.0,2.0,2\n")
+        with pytest.raises(ValueError, match=r"shots\.csv:2: made must be 0 or 1, got 2"):
+            read_shot_csv(path)
 
 
 class TestCountCsvRoundTrip:

@@ -130,19 +130,15 @@ class TestShotTypePosterior:
             np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
     def test_impossible_tile_falls_back_to_uniform(self):
-        """A tile outside every basis yields a flagged uniform posterior."""
+        """A tile outside every basis yields a uniform posterior; a tile
+        inside them keeps the weights' proportions."""
         bases = np.zeros((2, 6))
         bases[0, :3] = 1.0 / 3.0
         bases[1, :3] = 1.0 / 3.0
-        probs, degenerate = shot_type_posterior(
-            5, np.array([1.0, 2.0]), bases, return_flag=True
-        )
-        assert degenerate
+        probs = shot_type_posterior(5, np.array([1.0, 2.0]), bases)
         np.testing.assert_allclose(probs, [0.5, 0.5])
-        _, flag = shot_type_posterior(
-            1, np.array([1.0, 2.0]), bases, return_flag=True
-        )
-        assert not flag
+        probs = shot_type_posterior(1, np.array([1.0, 2.0]), bases)
+        np.testing.assert_allclose(probs, [1 / 3, 2 / 3])
 
 
 class TestPredictFgPct:

@@ -9,7 +9,7 @@ import pytest
 from shotfactor.court import (
     CountMatrix,
     CourtGrid,
-    ShotEvent,
+    ShotTable,
     build_count_matrix,
     split_holdout,
 )
@@ -141,7 +141,7 @@ class TestBasisRecoveryScore:
 def _two_basis_shots(rng, n_players, per_player):
     """Shots from two separated bumps on a small court."""
     grid = CourtGrid(width=10.0, length=8.0, tile_size=2.0)
-    shots = []
+    rows = []
     for i in range(n_players):
         lean = rng.uniform(0.2, 0.8)
         for _ in range(per_player):
@@ -150,8 +150,8 @@ def _two_basis_shots(rng, n_players, per_player):
             else:
                 x, y = rng.uniform(6.0, 10.0), rng.uniform(4.0, 8.0)
             made = int(rng.random() < 0.45)
-            shots.append(ShotEvent(f"p{i}", float(x), float(y), made))
-    return shots, grid
+            rows.append((f"p{i}", float(x), float(y), made))
+    return ShotTable(*zip(*rows)), grid
 
 
 @pytest.fixture(scope="module")

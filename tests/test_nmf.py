@@ -343,13 +343,6 @@ class TestFitPca:
         eigs = np.linalg.eigvalsh(np.cov(data.T))[::-1]
         np.testing.assert_allclose(model.explained_variance, eigs[:6], atol=1e-10)
 
-    def test_single_row_reconstruction(self):
-        data = self._data()
-        model = fit_pca(data, 3)
-        np.testing.assert_allclose(
-            pca_reconstruct(model, 2), pca_reconstruct(model)[2], rtol=1e-12
-        )
-
 
 def _ring_dataset(seed):
     """Rows mixing a high-mass interior bump with a low-mass edge ring."""

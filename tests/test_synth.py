@@ -246,10 +246,10 @@ class TestGenerateShots:
         """Every generated shot is on the court with a 0/1 outcome."""
         config = SynthConfig(n_players=6, budget_range=(30, 60), seed=5, grid=DESK)
         shots = generate_shots(make_planted_truth(config), config.seed)
-        assert shots, "expected some shots"
-        for s in shots:
-            assert 0.0 <= s.x <= DESK.width and 0.0 <= s.y <= DESK.length
-            assert s.made in (0, 1)
+        assert len(shots), "expected some shots"
+        assert np.all((shots.x >= 0.0) & (shots.x <= DESK.width))
+        assert np.all((shots.y >= 0.0) & (shots.y <= DESK.length))
+        assert set(shots.made.tolist()) <= {0, 1}
 
     def test_player_order_does_not_change_draws(self):
         """Each player's shots come from a stream derived from their index,
@@ -266,8 +266,10 @@ class TestGenerateShots:
             players=truth.players[:1],
             grid=truth.grid,
         )
-        first = [s for s in full if s.player == truth.players[0]]
-        assert first == generate_shots(solo, config.seed)
+        first = full.take(full.players == truth.players[0])
+        alone = generate_shots(solo, config.seed)
+        for column in ("players", "x", "y", "made"):
+            np.testing.assert_array_equal(getattr(first, column), getattr(alone, column))
 
 
 class TestGenerateDataset:
