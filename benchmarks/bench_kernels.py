@@ -49,6 +49,9 @@ def build_cases(seed):
     players = rng.integers(0, n_players, size=n_shots)
     tiles = rng.integers(0, n_tiles, size=n_shots)
     uniforms = rng.random(n_shots)
+    # fit_efficiency builds the type table once; each sweep only draws from it
+    table, totals = backend.type_weights(weights, bases, players, tiles)
+    cum = np.cumsum(table, axis=1)
     types = rng.integers(0, k, size=n_shots)
     made = (rng.random(n_shots) < 0.45).astype(np.float64)
 
@@ -59,7 +62,8 @@ def build_cases(seed):
     return [
         ("poisson_field_loglik", (counts, field, -0.2, 5.0, log_norm)),
         ("bernoulli_logits_loglik", (makes, attempts, logits)),
-        ("draw_type_indices", (weights, bases, players, tiles, uniforms)),
+        ("type_weights", (weights, bases, players, tiles)),
+        ("draw_type_indices", (cum, totals, uniforms)),
         ("sq_exp_matrix", (cx, cy, 1.3, 8.0)),
         ("aggregate_outcomes", (players, types, made, n_players, k)),
         ("mixture_probability_surface", (weights[0], bases, logits[0])),

@@ -62,21 +62,23 @@ def bernoulli_logits_loglik(makes, attempts, logits):
     )
 
 
-def draw_type_indices(weights, bases, players, tiles, uniforms):
-    """Draw one mixture-component index per shot by inverse CDF.
+def type_weights(weights, bases, rows, tiles):
+    """S x K products weights[rows[i], k] * bases[k, tiles[i]], and their sums.
 
-    Component probabilities for shot i are proportional to
-    weights[players[i], k] * bases[k, tiles[i]].  A shot whose probabilities
-    sum to zero falls back to a uniform draw over components.
+    A pair no basis reaches (sum <= 0) gets weight 1 per type and sum K.
     """
-    probs = weights[players] * bases[:, tiles].T
+    probs = weights[rows] * bases[:, tiles].T
     totals = probs.sum(axis=1)
-    k = weights.shape[1]
     dead = totals <= 0.0
     if np.any(dead):
         probs[dead] = 1.0
-        totals[dead] = float(k)
-    cum = np.cumsum(probs, axis=1)
+        totals[dead] = float(probs.shape[1])
+    return probs, totals
+
+
+def draw_type_indices(cum, totals, uniforms):
+    """Inverse-CDF type draw per shot from cumsum(type_weights) and its sums."""
+    k = cum.shape[1]
     draws = (uniforms[:, None] * totals[:, None] > cum).sum(axis=1)
     return np.minimum(draws, k - 1).astype(np.int64)
 
@@ -101,10 +103,7 @@ def mixture_probability_surface(weights_row, bases, logits_row):
 
     Tiles where every component has zero density get the uniform mixture.
     """
-    num = weights_row[:, None] * bases
-    denom = num.sum(axis=0)
-    dead = denom <= 0.0
-    if np.any(dead):
-        num[:, dead] = 1.0
-        denom = np.where(dead, float(bases.shape[0]), denom)
-    return (expit(logits_row) @ num) / denom
+    v = bases.shape[1]
+    probs, _ = type_weights(weights_row[None, :], bases, np.zeros(v, int), np.arange(v))
+    num = np.ascontiguousarray(probs.T)  # K x V: column sums add in type order
+    return (expit(logits_row) @ num) / num.sum(axis=0)

@@ -19,6 +19,11 @@ from .court import write_labeled_csv
 from .lgcp import ess_update
 from .nmf import FactorModel
 
+# Fixed prior: global logits ~ N(0, SIGMA0_SQ), type variances ~ IG(PRIOR_A, PRIOR_B)
+SIGMA0_SQ = 100.0
+PRIOR_A = 0.1
+PRIOR_B = 0.1
+
 
 @dataclass(eq=False)
 class AdjustedLoadings:
@@ -58,9 +63,6 @@ class EfficiencyModel:
     beta0: np.ndarray
     sigma2: np.ndarray
     beta: np.ndarray
-    sigma0_sq: float = 100.0
-    a: float = 0.1
-    b: float = 0.1
 
     def __post_init__(self):
         self.beta0 = np.asarray(self.beta0, dtype=np.float64)
@@ -77,15 +79,10 @@ class EfficiencyConfig:
     sweeps: int = 2000
     burn_in: int = 500
     seed: int = 0
-    sigma0_sq: float = 100.0
-    a: float = 0.1
-    b: float = 0.1
 
     def __post_init__(self):
         if self.sweeps < 1 or not 0 <= self.burn_in < self.sweeps:
             raise ValueError("need sweeps >= 1 and 0 <= burn_in < sweeps")
-        if self.sigma0_sq <= 0 or self.a <= 0 or self.b <= 0:
-            raise ValueError("hyperparameters must be positive")
 
 
 @dataclass(eq=False)
@@ -124,11 +121,9 @@ def shot_type_posterior(
 
     A tile that no basis can produce gets a uniform vector.
     """
-    raw = np.asarray(weights_row, dtype=np.float64) * bases[:, tile]
-    total = raw.sum()
-    if total <= 0:
-        return np.full(len(raw), 1.0 / len(raw))
-    return raw / total
+    row = np.asarray(weights_row, dtype=np.float64)[None, :]
+    probs, totals = backend.type_weights(row, bases, [0], [tile])
+    return probs[0] / totals[0]
 
 
 def predict_fg_pct(
@@ -139,16 +134,9 @@ def predict_fg_pct(
     return float(probs @ backend.expit(np.asarray(logits_row, dtype=np.float64)))
 
 
-def sample_shot_types(
-    players: np.ndarray, tiles: np.ndarray, loadings: AdjustedLoadings, rng
-) -> np.ndarray:
-    """Draw one latent type per shot from its posterior."""
-    players = np.ascontiguousarray(players, dtype=np.int64)
-    tiles = np.ascontiguousarray(tiles, dtype=np.int64)
-    uniforms = rng.random(len(players))
-    return backend.draw_type_indices(
-        loadings.weights, loadings.bases, players, tiles, uniforms
-    )
+def sample_shot_types(cum: np.ndarray, totals: np.ndarray, rng) -> np.ndarray:
+    """Draw one latent type per shot from cumsum(type_weights) and its sums."""
+    return backend.draw_type_indices(cum, totals, rng.random(len(totals)))
 
 
 def gibbs_sigma_update(beta_col: np.ndarray, beta0_k: float, a: float, b: float, rng) -> float:
@@ -171,8 +159,8 @@ def _unstack(stacked, n, k):
     return stacked[:k], stacked[k:].reshape(n, k)
 
 
-def _prior_draw(n, k, sigma0_sq, sigma2, rng):
-    nu0 = rng.normal(0.0, np.sqrt(sigma0_sq), size=k)
+def _prior_draw(n, k, sigma2, rng):
+    nu0 = rng.normal(0.0, np.sqrt(SIGMA0_SQ), size=k)
     nu = nu0[None, :] + rng.normal(0.0, np.sqrt(sigma2)[None, :], size=(n, k))
     return _stack(nu0, nu)
 
@@ -184,7 +172,6 @@ def gibbs_beta_step(
     makes: np.ndarray,
     attempts: np.ndarray,
     rng,
-    sigma0_sq: float = 100.0,
 ):
     """One slice update of the stacked (global, per-player) logit block.
 
@@ -200,7 +187,7 @@ def gibbs_beta_step(
         logits = np.ascontiguousarray(stacked[k:])
         return backend.bernoulli_logits_loglik(makes64, attempts64, logits)
 
-    aux = _prior_draw(n, k, sigma0_sq, sigma2, rng)
+    aux = _prior_draw(n, k, sigma2, rng)
     stacked, cur = ess_update(_stack(beta0, beta), aux, loglik, rng)
     beta0, beta = _unstack(stacked, n, k)
     return beta0, beta, cur
@@ -216,6 +203,7 @@ def fit_efficiency(
 ) -> EfficiencyFit:
     """Gibbs sampler over types, logits, and variances.
 
+    The loadings are fixed, so each shot's type posterior is built once.
     Per sweep: resample every shot's latent type, aggregate outcomes to
     per-player, per-type make/attempt counts, slice-update the logit block,
     then draw each type variance.  Posterior means are taken over the sweeps
@@ -235,6 +223,9 @@ def fit_efficiency(
         # stream tag 4: the Gibbs chain stays disjoint from other stages
         rng = np.random.default_rng([config.seed, 4])
 
+    probs, totals = backend.type_weights(loadings.weights, loadings.bases, players, tiles)
+    cum = np.cumsum(probs, axis=1)
+
     # Data-informed start: per-cell rates shrunk toward the pooled rate by a
     # few pseudo-attempts put every coordinate of the first state inside its
     # posterior typical set.  Sparse cells start essentially at the global
@@ -242,7 +233,7 @@ def fit_efficiency(
     # empirical logit.  This matters because the slice angle is shared across
     # the stacked block: likelihood-tight coordinates cap it, so coordinates
     # that start far from their posterior move there only slowly.
-    types = sample_shot_types(players, tiles, loadings, rng)
+    types = sample_shot_types(cum, totals, rng)
     makes, attempts = backend.aggregate_outcomes(players, types, made, n, k)
     pooled = (makes.sum(axis=0) + 1.0) / (attempts.sum(axis=0) + 2.0)
     beta0 = np.log(pooled) - np.log1p(-pooled)
@@ -259,13 +250,11 @@ def fit_efficiency(
     prob_sum = np.zeros((n, k))
 
     for sweep in range(config.sweeps):
-        types = sample_shot_types(players, tiles, loadings, rng)
+        types = sample_shot_types(cum, totals, rng)
         makes, attempts = backend.aggregate_outcomes(players, types, made, n, k)
-        beta0, beta, _ = gibbs_beta_step(
-            beta0, beta, sigma2, makes, attempts, rng, config.sigma0_sq
-        )
+        beta0, beta, _ = gibbs_beta_step(beta0, beta, sigma2, makes, attempts, rng)
         for j in range(k):
-            sigma2[j] = gibbs_sigma_update(beta[:, j], beta0[j], config.a, config.b, rng)
+            sigma2[j] = gibbs_sigma_update(beta[:, j], beta0[j], PRIOR_A, PRIOR_B, rng)
         beta0_trace[sweep] = beta0
         sigma2_trace[sweep] = sigma2
         if sweep >= config.burn_in:
@@ -279,9 +268,6 @@ def fit_efficiency(
         beta0=beta0_sum / kept,
         sigma2=sigma2_sum / kept,
         beta=beta_sum / kept,
-        sigma0_sq=config.sigma0_sq,
-        a=config.a,
-        b=config.b,
     )
     return EfficiencyFit(
         model=model,

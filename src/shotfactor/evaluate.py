@@ -17,7 +17,7 @@ import numpy as np
 
 from .backend import log_factorial
 from .court import CountMatrix
-from .nmf import NmfConfig, fit_nmf, fit_pca, pca_reconstruct
+from .nmf import COUNT_JITTER, NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
 EPS = 1e-12
 
@@ -173,8 +173,8 @@ def compare_surfaces(
             if truth_bases is not None and k >= truth_bases.shape[0]:
                 recovery[(model, k)] = basis_recovery_score(fit.bases, truth_bases)
         if "nmf_counts" in config.models:
-            # passing the CountMatrix itself turns on the automatic jitter
-            fit = fit_nmf(cm_train, k, loss="kl", config=config.nmf)
+            target = cm_train.counts + COUNT_JITTER
+            fit = fit_nmf(target, k, loss="kl", config=config.nmf)
             rows, vols = _unit_rows((fit.weights @ fit.bases) / area, area)
             entries.append(EvalEntry("nmf_counts", k, score(rows, vols)))
             if truth_bases is not None and k >= truth_bases.shape[0]:

@@ -4,6 +4,7 @@ baseline.  Both losses use the classic multiplicative updates."""
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,7 +14,7 @@ from .court import read_labeled_csv, write_labeled_csv
 
 EPS_FLOOR = 1e-12
 
-
+# Added to raw count matrices before a KL fit, so no target entry is zero.
 COUNT_JITTER = 1e-8
 
 
@@ -24,9 +25,14 @@ class NmfConfig:
     restarts: int = 5
     seed: int = 0
     eps: float = EPS_FLOOR
-    # Added to the data before fitting.  None means automatic: raw count
-    # matrices get COUNT_JITTER, intensity matrices get nothing.
-    jitter: float | None = None
+
+    def __post_init__(self):
+        for name, low in (("restarts", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not isinstance(self.tol, numbers.Real) or not self.tol >= 0:
+            raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
 
 
 @dataclass(eq=False)
@@ -54,12 +60,6 @@ class PcaModel:
     scores: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
-
-
-def _as_matrix(data) -> np.ndarray:
-    if hasattr(data, "counts"):  # CountMatrix
-        return np.asarray(data.counts, dtype=np.float64)
-    return np.asarray(data, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +134,13 @@ def fit_nmf(data, k: int, loss: str = "kl", config: NmfConfig | None = None) -> 
     """Factorize a non-negative matrix, keeping the best of several restarts.
 
     Iterates the per-loss multiplicative update until the relative loss change
-    drops below ``config.tol`` or ``config.max_iters`` is reached.  A positive
-    ``config.jitter`` is added to the data first (needed for raw count
-    matrices under the KL loss).
+    drops below ``config.tol`` or ``config.max_iters`` is reached.  Raw count
+    matrices need ``COUNT_JITTER`` added first under the KL loss.
     """
     if loss not in _STEPS:
         raise ValueError(f"loss must be one of {sorted(_STEPS)}, got {loss!r}")
     config = config or NmfConfig()
-    target = _as_matrix(data)
-    jitter = config.jitter
-    if jitter is None:
-        jitter = COUNT_JITTER if hasattr(data, "counts") else 0.0
-    if jitter > 0:
-        target = target + jitter
+    target = np.asarray(data, dtype=np.float64)
     n, v = target.shape
     if not 1 <= k <= min(n, v):
         raise ValueError(f"k must be in [1, {min(n, v)}], got {k}")
@@ -191,7 +185,7 @@ def fit_pca(data, k: int) -> PcaModel:
 
     Sign convention: each component's largest-magnitude entry is positive.
     """
-    matrix = _as_matrix(data)
+    matrix = np.asarray(data, dtype=np.float64)
     n, v = matrix.shape
     if not 1 <= k <= min(n - 1, v):
         raise ValueError(f"k must be in [1, {min(n - 1, v)}], got {k}")

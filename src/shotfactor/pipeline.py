@@ -106,7 +106,12 @@ class PipelineConfig:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not isinstance(self.seed, int):
             raise ValueError("seed must be an integer")
-        self.k_list = tuple(int(k) for k in self.k_list)
+        ks = self.k_list
+        if not isinstance(ks, (list, tuple)) or not all(
+            isinstance(k, int) and not isinstance(k, bool) for k in ks
+        ):
+            raise ValueError(f"k_list must be a list of integers, got {ks!r}")
+        self.k_list = tuple(ks)
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":

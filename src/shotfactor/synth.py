@@ -147,13 +147,9 @@ def sample_outcomes(
     s = len(tiles)
     if s == 0:
         return np.empty(0, dtype=np.int64)
-    types = backend.draw_type_indices(
-        np.ascontiguousarray(weights_row, dtype=np.float64).reshape(1, -1),
-        np.ascontiguousarray(bases, dtype=np.float64),
-        np.zeros(s, dtype=np.int64),
-        tiles,
-        rng.random(s),
-    )
+    row = np.asarray(weights_row, dtype=np.float64)[None, :]
+    table, totals = backend.type_weights(row, bases, np.zeros(s, int), tiles)
+    types = backend.draw_type_indices(np.cumsum(table, axis=1), totals, rng.random(s))
     probs = backend.expit(np.asarray(beta_row, dtype=np.float64)[types])
     return (rng.random(s) < probs).astype(np.int64)
 

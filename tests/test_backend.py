@@ -94,6 +94,35 @@ def _random_mixture(rng, n=6, k=4, v=30):
     return weights, bases
 
 
+class TestTypeWeights:
+    def test_products_and_sums(self):
+        """Row i holds weights[rows[i]] * bases[:, tiles[i]] and its sum."""
+        rng = np.random.default_rng(13)
+        weights, bases = _random_mixture(rng)
+        rows = rng.integers(0, 6, size=50)
+        tiles = rng.integers(0, 30, size=50)
+        probs, totals = bk.type_weights(weights, bases, rows, tiles)
+        for i in range(50):
+            np.testing.assert_array_equal(
+                probs[i], weights[rows[i]] * bases[:, tiles[i]]
+            )
+        np.testing.assert_array_equal(totals, probs.sum(axis=1))
+
+    def test_dead_pair_gets_uniform_weights(self):
+        """A pair no basis reaches gets weight 1 per type and sum K."""
+        weights = np.array([[1.0, 2.0, 3.0]])
+        bases = np.zeros((3, 2))
+        bases[:, 0] = 1.0
+        probs, totals = bk.type_weights(weights, bases, [0, 0], [0, 1])
+        np.testing.assert_array_equal(probs, [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+        np.testing.assert_array_equal(totals, [6.0, 3.0])
+
+
+def _draw(weights, bases, players, tiles, uniforms):
+    probs, totals = bk.type_weights(weights, bases, players, tiles)
+    return bk.draw_type_indices(np.cumsum(probs, axis=1), totals, uniforms)
+
+
 class TestDrawTypeIndices:
     def test_matches_manual_inverse_cdf(self):
         """Each draw is the inverse-CDF index of its per-shot posterior."""
@@ -103,7 +132,7 @@ class TestDrawTypeIndices:
         players = rng.integers(0, 6, size=s)
         tiles = rng.integers(0, 30, size=s)
         uniforms = rng.random(s)
-        got = bk.draw_type_indices(weights, bases, players, tiles, uniforms)
+        got = _draw(weights, bases, players, tiles, uniforms)
         for i in range(s):
             probs = weights[players[i]] * bases[:, tiles[i]]
             cdf = np.cumsum(probs / probs.sum())
@@ -116,7 +145,7 @@ class TestDrawTypeIndices:
         bases = np.zeros((3, 2))
         bases[:, 0] = 1.0
         uniforms = np.array([0.1, 0.5, 0.9])
-        got = bk.draw_type_indices(
+        got = _draw(
             weights,
             bases,
             np.zeros(3, dtype=np.int64),
@@ -126,15 +155,9 @@ class TestDrawTypeIndices:
         np.testing.assert_array_equal(got, [0, 1, 2])
 
     def test_point_mass_component(self):
-        weights = np.array([[0.0, 1.0, 0.0]])
-        bases = np.ones((3, 4))
-        got = bk.draw_type_indices(
-            weights,
-            bases,
-            np.zeros(5, dtype=np.int64),
-            np.arange(5) % 4,
-            np.linspace(0.01, 0.99, 5),
-        )
+        """A table with all weight on one type always draws it."""
+        cum = np.tile([0.0, 4.0, 4.0], (5, 1))
+        got = bk.draw_type_indices(cum, np.full(5, 4.0), np.linspace(0.01, 0.99, 5))
         np.testing.assert_array_equal(got, [1, 1, 1, 1, 1])
 
 
@@ -191,6 +214,21 @@ class TestMixtureProbabilitySurface:
         logits = np.array([2.0, -1.0])
         got = bk.mixture_probability_surface(weights, bases, logits)
         np.testing.assert_allclose(got[1], expit(logits).mean(), rtol=1e-12)
+
+    def test_nine_types_match_column_sum_formula_bit_for_bit(self):
+        """At K = 9 the surface is expit(l) @ num / num.sum(axis=0) on the
+        K x V products, bit for bit: a row-wise sum adds in another order."""
+        rng = np.random.default_rng(53)
+        weights, bases = _random_mixture(rng, n=1, k=9, v=60)
+        bases[:, 7] = 0.0
+        logits = rng.normal(0, 1, size=9)
+        num = weights[0][:, None] * bases
+        denom = num.sum(axis=0)
+        num[:, 7] = 1.0
+        denom[7] = 9.0
+        expected = (bk.expit(logits) @ num) / denom
+        got = bk.mixture_probability_surface(weights[0], bases, logits)
+        np.testing.assert_array_equal(got, expected)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(47)

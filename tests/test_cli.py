@@ -126,6 +126,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config keys"):
             PipelineConfig.from_mapping({"sed": 1})
 
+    @pytest.mark.parametrize("value", ["4", '[1, "x"]', '"12"'])
+    def test_bad_k_list_exits_one_naming_the_key(self, tmp_path, capsys, value):
+        """A k_list that is not a list of integers is one error line that
+        names the key, not a traceback."""
+        config_path = _write_config(str(tmp_path), k_list=value)
+        assert main(["pipeline", "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "k_list must be a list of integers" in err
+
     def test_component_views_carry_shared_seed(self):
         """Every component config inherits the global seed."""
         config = PipelineConfig(seed=17)
@@ -333,6 +343,17 @@ class TestStageCommands:
         argv = ["--config", workspace["config"], "--out", str(tmp_path)]
         assert main(["factorize", *argv, "--k", "40"]) == STAGE_CODES["factorize"]
         assert "factorize" in capsys.readouterr().err
+
+    def test_zero_restarts_fail_factorize_naming_the_flag(
+        self, workspace, finished, tmp_path, capsys
+    ):
+        """--restarts 0 fails the factorize stage with a message naming
+        restarts."""
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        argv = ["factorize", "--config", workspace["config"], "--out", str(out)]
+        assert main([*argv, "--restarts", "0"]) == STAGE_CODES["factorize"]
+        assert "restarts must be an integer >= 1" in capsys.readouterr().err
 
     def test_off_court_shot_fails_ingest_with_location(self, tmp_path, capsys):
         """A shot off the court fails ingest, naming the file and line."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from shotfactor import backend
 from shotfactor.efficiency import (
     AdjustedLoadings,
     EfficiencyConfig,
@@ -322,23 +323,30 @@ class TestGibbsBetaStep:
         np.testing.assert_array_equal(out1[1], out2[1])
 
 
+def _type_table(loadings, players, tiles):
+    """The cumulative type weights and sums that fit_efficiency draws from."""
+    probs, totals = backend.type_weights(
+        loadings.weights, loadings.bases, np.asarray(players), np.asarray(tiles)
+    )
+    return np.cumsum(probs, axis=1), totals
+
+
 class TestSampleShotTypes:
     def test_single_basis_assigns_type_zero(self):
         """With K=1 every shot gets the only type."""
         bases = np.full((1, 10), 0.1)
         loadings = AdjustedLoadings(np.array([[2.0], [1.0]]), bases)
-        players = np.array([0, 1, 0, 1])
-        tiles = np.array([0, 3, 7, 9])
-        types = sample_shot_types(players, tiles, loadings, np.random.default_rng(0))
+        cum, totals = _type_table(loadings, [0, 1, 0, 1], [0, 3, 7, 9])
+        types = sample_shot_types(cum, totals, np.random.default_rng(0))
         np.testing.assert_array_equal(types, np.zeros(4, dtype=int))
 
     def test_deterministic_posterior_always_picks_its_type(self):
         """Disjoint bases make the type a function of the tile."""
         bases = _split_bases()
         loadings = AdjustedLoadings(np.array([[1.0, 1.0]]), bases)
-        players = np.zeros(40, dtype=int)
         tiles = np.arange(40) % 20
-        types = sample_shot_types(players, tiles, loadings, np.random.default_rng(1))
+        cum, totals = _type_table(loadings, np.zeros(40, dtype=int), tiles)
+        types = sample_shot_types(cum, totals, np.random.default_rng(1))
         np.testing.assert_array_equal(types, (tiles >= 10).astype(int))
 
     def test_frequencies_match_posterior(self):
@@ -352,9 +360,8 @@ class TestSampleShotTypes:
         tile = 5
         target = shot_type_posterior(tile, weights[0], bases)
         m = 10000
-        types = sample_shot_types(
-            np.zeros(m, dtype=int), np.full(m, tile), loadings, rng
-        )
+        cum, totals = _type_table(loadings, np.zeros(m, dtype=int), np.full(m, tile))
+        types = sample_shot_types(cum, totals, rng)
         freq = np.bincount(types, minlength=3) / m
         mc_se = np.sqrt(target * (1.0 - target) / m)
         assert np.all(np.abs(freq - target) <= 3.0 * mc_se)
@@ -439,13 +446,48 @@ class TestFitEfficiency:
             )
 
     def test_config_validation(self):
-        """Sweep and hyperparameter bounds are enforced."""
+        """Sweep and burn-in bounds are enforced."""
         with pytest.raises(ValueError):
             EfficiencyConfig(sweeps=0)
         with pytest.raises(ValueError):
             EfficiencyConfig(sweeps=10, burn_in=10)
-        with pytest.raises(ValueError):
-            EfficiencyConfig(a=-1.0)
+
+    def test_golden_posterior_means(self):
+        """A small fixed run, with shots on a tile no basis reaches,
+        reproduces logits recorded from an earlier implementation."""
+        rng = np.random.default_rng(7)
+        bases = rng.uniform(0.0, 1.0, size=(3, 12))
+        bases[:, 11] = 0.0
+        bases[0, :4] = 0.0
+        bases /= bases.sum(axis=1, keepdims=True)
+        weights = rng.uniform(0.5, 1.5, size=(3, 3))
+        players = rng.integers(0, 3, size=150)
+        tiles = rng.integers(0, 12, size=150)
+        made = rng.integers(0, 2, size=150)
+        assert (tiles == 11).sum() == 16
+        fit = fit_efficiency(
+            players,
+            tiles,
+            made,
+            AdjustedLoadings(weights, bases),
+            EfficiencyConfig(sweeps=30, burn_in=10, seed=2),
+        )
+        np.testing.assert_allclose(
+            fit.model.beta0,
+            [-0.05180095899166852, -0.129523503570569, 0.16541199822252256],
+            rtol=1e-12,
+            atol=0.0,
+        )
+        np.testing.assert_allclose(
+            fit.model.beta,
+            [
+                [0.31451680486379796, -0.28488229312292934, -0.1084818907038557],
+                [-0.6398555963110046, -0.1933300825734307, -0.04566886046430831],
+                [0.1054232301842137, -0.08599459293058213, 0.508896710012235],
+            ],
+            rtol=1e-12,
+            atol=0.0,
+        )
 
 
 class TestShrinkage:
@@ -543,6 +585,49 @@ class TestShrinkage:
             if previous is not None:
                 assert p > previous
             previous = p
+
+
+class TestDeadTile:
+    def test_uniform_fallback_in_every_user(self, monkeypatch):
+        """A tile no basis reaches gets the uniform type posterior in the
+        Gibbs draws, the mixture surface and shot_type_posterior; the Gibbs
+        table is built once per fit."""
+        bases = np.zeros((2, 6))
+        bases[:, :5] = 0.2
+        loadings = AdjustedLoadings(np.array([[1.0, 3.0]]), bases)
+        np.testing.assert_array_equal(
+            shot_type_posterior(5, loadings.weights[0], bases), [0.5, 0.5]
+        )
+        model = EfficiencyModel(beta0=[1.0, -2.0], sigma2=[1, 1], beta=[[2.0, -1.0]])
+        surface = efficiency_surface(loadings, model, 0)
+        np.testing.assert_allclose(surface[5], expit([2.0, -1.0]).mean(), rtol=1e-15)
+
+        seen, built = [], []
+        draw, weigh = backend.draw_type_indices, backend.type_weights
+
+        def spy_draw(cum, totals, uniforms):
+            seen.append((cum.copy(), totals.copy()))
+            return draw(cum, totals, uniforms)
+
+        def spy_weigh(*args):
+            built.append(args)
+            return weigh(*args)
+
+        monkeypatch.setattr(backend, "draw_type_indices", spy_draw)
+        monkeypatch.setattr(backend, "type_weights", spy_weigh)
+        tiles = np.array([5, 0, 5, 3])
+        fit_efficiency(
+            np.zeros(4, dtype=int),
+            tiles,
+            np.array([1, 0, 0, 1]),
+            loadings,
+            EfficiencyConfig(sweeps=3, burn_in=1, seed=0),
+        )
+        assert len(built) == 1 and len(seen) == 4
+        for cum, totals in seen:
+            np.testing.assert_array_equal(cum[tiles == 5], [[1.0, 2.0]] * 2)
+            np.testing.assert_array_equal(totals[tiles == 5], [2.0, 2.0])
+            np.testing.assert_allclose(cum[tiles == 0], [[0.2, 0.8]], rtol=1e-15)
 
 
 class TestEfficiencySurface:

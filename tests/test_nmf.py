@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import entropy
 
 from shotfactor.court import CountMatrix, CourtGrid
+from shotfactor.evaluate import EPS, EvalConfig, compare_surfaces, heldout_loglik
 from shotfactor.nmf import (
     COUNT_JITTER,
     EPS_FLOOR,
@@ -265,32 +266,47 @@ class TestFitNmf:
         multi = fit_nmf(lam, 4, "kl", NmfConfig(restarts=5, seed=2))
         assert multi.final_loss <= single.final_loss
 
-    def test_count_matrix_gets_automatic_jitter(self):
-        """Raw counts with zeros fit under KL exactly as the jittered array."""
+    def test_count_model_fits_the_jittered_counts(self):
+        """The nmf_counts entry scores a KL fit on the counts plus
+        COUNT_JITTER: raw zeros never reach the KL loss."""
         grid = CourtGrid(width=4.0, length=5.0, tile_size=1.0)
         rng = np.random.default_rng(43)
-        counts = rng.poisson(1.0, size=(6, grid.n_tiles))
-        assert (counts == 0).any()
-        cm = CountMatrix(counts, [f"p{i}" for i in range(6)], grid)
-        auto = fit_nmf(cm, 2, "kl", NmfConfig(seed=7))
-        manual = fit_nmf(
-            counts.astype(float) + COUNT_JITTER,
-            2,
-            "kl",
-            NmfConfig(seed=7, jitter=0.0),
+        players = [f"p{i}" for i in range(6)]
+        train = CountMatrix(rng.poisson(1.0, size=(6, grid.n_tiles)), players, grid)
+        test = CountMatrix(rng.poisson(0.2, size=(6, grid.n_tiles)), players, grid)
+        assert (train.counts == 0).any()
+        config = EvalConfig(
+            fraction=0.2, nmf=NmfConfig(seed=7), models=("nmf_counts",)
         )
-        assert np.isfinite(auto.final_loss)
-        np.testing.assert_array_equal(auto.weights, manual.weights)
-        np.testing.assert_array_equal(auto.bases, manual.bases)
+        unit = np.full((6, grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
+        report = compare_surfaces(train, test, unit, np.ones(6), [2], config)
 
-    def test_explicit_jitter_overrides_automatic(self):
-        grid = CourtGrid(width=4.0, length=5.0, tile_size=1.0)
-        rng = np.random.default_rng(47)
-        counts = rng.poisson(2.0, size=(5, grid.n_tiles)) + 1
-        cm = CountMatrix(counts, [f"p{i}" for i in range(5)], grid)
-        plain = fit_nmf(counts.astype(float), 2, "kl", NmfConfig(seed=1, jitter=0.0))
-        overridden = fit_nmf(cm, 2, "kl", NmfConfig(seed=1, jitter=0.0))
-        np.testing.assert_array_equal(plain.weights, overridden.weights)
+        fit = fit_nmf(train.counts + COUNT_JITTER, 2, "kl", config.nmf)
+        assert np.isfinite(fit.final_loss)
+        area = grid.tile_area
+        surface = np.maximum((fit.weights @ fit.bases) / area, EPS)
+        volumes = surface.sum(axis=1) * area
+        expected = heldout_loglik(
+            test.counts, surface / volumes[:, None], volumes, 0.2, area
+        )
+        got = report.entry("nmf_counts", 2).per_player
+        np.testing.assert_array_equal(got, expected)
+
+    def test_config_bounds_name_the_field(self):
+        """Restarts below 1, negative or fractional iteration counts, and a
+        negative or non-numeric tolerance are rejected by name."""
+        bad = [
+            ("restarts", 0),
+            ("restarts", "two"),
+            ("max_iters", -1),
+            ("max_iters", 2.5),
+            ("tol", -1e-3),
+            ("tol", "x"),
+        ]
+        for field, value in bad:
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                NmfConfig(**{field: value})
+        NmfConfig(restarts=1, max_iters=0, tol=0)
 
 
 class TestFitPca:
