@@ -1,6 +1,8 @@
 """Factorization losses, multiplicative updates, planted-model recovery,
 the PCA baseline, and factor persistence."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import entropy
@@ -8,6 +10,7 @@ from scipy.stats import entropy
 from shotfactor.court import CountMatrix, CourtGrid
 from shotfactor.evaluate import EPS, EvalConfig, compare_surfaces, heldout_loglik
 from shotfactor.nmf import (
+    CHECK_EVERY,
     COUNT_JITTER,
     EPS_FLOOR,
     NmfConfig,
@@ -108,6 +111,35 @@ class TestKlLoss:
         """A zero in x contributes only the +y mass term."""
         got = kl_loss(np.array([[0.0]]), np.array([[2.0]]))
         assert got == 2.0
+
+    @staticmethod
+    def _masked_kl(x, y):
+        """The loss as a boolean-mask gather and scatter: the reference."""
+        pos = x > 0
+        if np.any(y[pos] <= 0):
+            return float("inf")
+        ratio = np.zeros_like(x)
+        ratio[pos] = x[pos] * np.log(x[pos] / y[pos])
+        return float(ratio.sum() - x.sum() + y.sum())
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.3], ids=["all_positive", "zeros_in_x"])
+    def test_bit_equal_to_masked_formula(self, zeros):
+        rng = np.random.default_rng(17)
+        for shape in [(1, 1), (7, 13), (60, 350), (12, 1750)]:
+            x = rng.gamma(0.5, 1.0, size=shape)
+            x[rng.random(shape) < zeros] = 0.0
+            y = rng.gamma(0.5, 1.0, size=shape)
+            # y may be zero wherever x is
+            y[x == 0] *= rng.random(shape)[x == 0] < 0.5
+            assert kl_loss(x, y) == self._masked_kl(x, y)
+
+    def test_nonpositive_model_under_positive_target_is_inf_like_reference(self):
+        rng = np.random.default_rng(19)
+        x = rng.uniform(0.1, 1.0, size=(5, 8))
+        for bad in (0.0, -1e-3):
+            y = rng.uniform(0.1, 1.0, size=(5, 8))
+            y[2, 3] = bad
+            assert kl_loss(x, y) == self._masked_kl(x, y) == np.inf
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -243,12 +275,46 @@ class TestFitNmf:
         assert model.loss == "frobenius"
         assert model.final_loss == model.trace[-1]
         assert np.all(np.diff(model.trace) <= 1e-9)
-        assert model.n_iters == len(model.trace) - 1
+        assert len(model.trace) - 1 == math.ceil(model.n_iters / CHECK_EVERY)
         assert model.n_iters <= 2000
         assert model.k == 3
         assert np.all(model.weights >= 0) and np.all(model.bases >= 0)
         got = frobenius_loss(lam, model.weights @ model.bases)
         np.testing.assert_allclose(got, model.final_loss, rtol=1e-10)
+
+    @pytest.mark.parametrize("loss", ["kl", "frobenius"])
+    def test_zero_tol_runs_every_step_with_a_short_last_window(self, loss):
+        """25 steps check the loss after steps 10, 20 and 25; the trace is
+        monotone and ends at the loss of the returned factors."""
+        rng = np.random.default_rng(41)
+        lam = rng.uniform(0.1, 1.0, size=(8, 12))
+        config = NmfConfig(max_iters=25, tol=0.0, restarts=1, seed=2)
+        model = fit_nmf(lam, 3, loss, config)
+        assert model.n_iters == 25
+        assert len(model.trace) - 1 == math.ceil(25 / CHECK_EVERY) == 3
+        assert np.all(np.diff(model.trace) <= 0)
+        loss_fn = kl_loss if loss == "kl" else frobenius_loss
+        assert model.final_loss == loss_fn(lam, model.weights @ model.bases)
+
+    def test_window_checks_and_steps(self):
+        """The trace holds the start and one loss per window of steps; the
+        factors are those of n_iters plain update steps."""
+        rng = np.random.default_rng(43)
+        lam = rng.uniform(0.1, 1.0, size=(9, 14))
+        for max_iters, tol in [(0, 0.0), (7, 0.0), (30, 0.0), (2000, 1e-4)]:
+            config = NmfConfig(max_iters=max_iters, tol=tol, restarts=1, seed=3)
+            model = fit_nmf(lam, 2, "kl", config)
+            assert len(model.trace) - 1 == math.ceil(model.n_iters / CHECK_EVERY)
+            assert model.final_loss == kl_loss(lam, model.weights @ model.bases)
+            assert np.all(np.diff(model.trace) <= 0)
+            start = fit_nmf(lam, 2, "kl", NmfConfig(max_iters=0, restarts=1, seed=3))
+            w, b = start.weights, start.bases
+            for _ in range(model.n_iters):
+                w, b = nmf_step_kl(w, b, lam)
+            np.testing.assert_array_equal(w, model.weights)
+            np.testing.assert_array_equal(b, model.bases)
+        # a 1e-4 tolerance stops well before the cap, on a window boundary
+        assert model.n_iters < 2000 and model.n_iters % CHECK_EVERY == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(37)
