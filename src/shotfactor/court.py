@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -181,8 +182,8 @@ def split_holdout(
     streams derived from (seed, player rank), so the split does not depend
     on input order.  Both parts keep the input's row order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
+    if not isinstance(fraction, numbers.Real) or not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must be a number in (0, 1), got {fraction!r}")
     # draw over content-sorted positions so shuffled input gives the same
     # partition (up to exact-duplicate shots)
     order = np.lexsort((shots.made, shots.y, shots.x, shots.players))

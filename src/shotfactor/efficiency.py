@@ -9,6 +9,7 @@ elliptical slice sampling, and the variances are conjugate draws.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -81,8 +82,12 @@ class EfficiencyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sweeps < 1 or not 0 <= self.burn_in < self.sweeps:
-            raise ValueError("need sweeps >= 1 and 0 <= burn_in < sweeps")
+        for name, low in (("sweeps", 1), ("burn_in", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.burn_in >= self.sweeps:
+            raise ValueError(f"burn_in must be below sweeps, got {self.burn_in!r}")
 
 
 @dataclass(eq=False)

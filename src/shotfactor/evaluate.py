@@ -10,6 +10,7 @@ identical terms.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -32,8 +33,9 @@ class EvalConfig:
     models: tuple = MODEL_NAMES
 
     def __post_init__(self):
-        if not 0 < self.fraction < 1:
-            raise ValueError("holdout fraction must lie in (0, 1)")
+        fraction = self.fraction
+        if not isinstance(fraction, numbers.Real) or not 0 < fraction < 1:
+            raise ValueError(f"fraction must be a number in (0, 1), got {fraction!r}")
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")

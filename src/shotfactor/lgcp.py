@@ -4,6 +4,7 @@ posterior-mean fitting, and unit-volume normalization."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,8 +33,10 @@ class LgcpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.burn_in < 0 or self.n_samples < 1 or self.thinning < 1:
-            raise ValueError("burn_in >= 0, n_samples >= 1, thinning >= 1 required")
+        for name, low in (("burn_in", 0), ("n_samples", 1), ("thinning", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def ess_update(

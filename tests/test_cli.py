@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -135,6 +136,27 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "k_list must be a list of integers" in err
+
+    @pytest.mark.parametrize(
+        "key, value, view, message",
+        [
+            ("lgcp_burn_in", "x", "lgcp_config", "burn_in must be an integer >= 0"),
+            ("lgcp_burn_in", 1.5, "lgcp_config", "burn_in must be an integer >= 0"),
+            ("lgcp_samples", 0, "lgcp_config", "n_samples must be an integer >= 1"),
+            ("lgcp_thinning", "2", "lgcp_config", "thinning must be an integer >= 1"),
+            ("lvm_sweeps", "x", "efficiency_config", "sweeps must be an integer >= 1"),
+            ("lvm_burn_in", 2.5, "efficiency_config", "burn_in must be an integer"),
+            ("lvm_burn_in", 2000, "efficiency_config", "burn_in must be below sweeps"),
+            ("fraction", "x", "eval_config", "fraction must be a number in (0, 1)"),
+            ("fraction", 1.0, "eval_config", "fraction must be a number in (0, 1)"),
+        ],
+    )
+    def test_component_views_reject_bad_values_by_name(self, key, value, view, message):
+        """A wrong type or an out-of-range value in a component config is a
+        ValueError naming the field, which the runner maps to its stage."""
+        config = PipelineConfig(**{key: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(config, view)()
 
     def test_component_views_carry_shared_seed(self):
         """Every component config inherits the global seed."""
@@ -354,6 +376,31 @@ class TestStageCommands:
         argv = ["factorize", "--config", workspace["config"], "--out", str(out)]
         assert main([*argv, "--restarts", "0"]) == STAGE_CODES["factorize"]
         assert "restarts must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value, stage, message",
+        [
+            ("fit-efficiency", "lvm_sweeps", '"x"', "efficiency", "sweeps must be"),
+            ("pipeline", "lgcp_burn_in", '"x"', "lgcp", "burn_in must be"),
+            ("pipeline", "lgcp_burn_in", "1.5", "lgcp", "burn_in must be"),
+            ("pipeline", "fraction", '"x"', "ingest", "fraction must be"),
+        ],
+    )
+    def test_wrong_type_config_fails_its_stage_in_one_line(
+        self, workspace, finished, tmp_path, capsys, command, key, value, stage, message
+    ):
+        """A config value of the wrong type fails the stage that reads it
+        with that stage's exit code and one error line, not a traceback."""
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        shots = str(workspace["root"] / "data" / "shots.csv")
+        config_path = _write_config(str(tmp_path), shots=shots, **{key: value})
+        capsys.readouterr()
+        rc = main([command, "--config", config_path, "--out", str(out)])
+        assert rc == STAGE_CODES[stage]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: stage '{stage}' failed") and err.count("\n") == 1
+        assert f"{message} " in err
 
     def test_off_court_shot_fails_ingest_with_location(self, tmp_path, capsys):
         """A shot off the court fails ingest, naming the file and line."""
