@@ -1,9 +1,11 @@
-"""Time the compute kernels and the prior draw.
+"""Time the compute kernels, the prior draw and the NMF loss and fit.
 
 Each kernel is fed inputs sized like the desk-scale problem (60 players,
 350 tiles, 4 components, about 30k shots) and timed best-of-N.  The GP
 prior draw (``gp.sample_field``) is timed on the 350-tile and 1,750-tile
-grids.
+grids.  The KL loss (``nmf.kl_loss``) is timed on an all-positive target of
+60 x 350 and 12 x 1,750 tiles, and one KL ``fit_nmf`` at 60 x 350, K = 8,
+with 2 restarts of 200 steps, is timed best of a few.
 
 Run from the repository root:
 
@@ -18,6 +20,7 @@ import numpy as np
 from shotfactor import backend
 from shotfactor.court import CourtGrid
 from shotfactor.gp import KernelHyper, build_cov_factor, sample_field
+from shotfactor.nmf import NmfConfig, fit_nmf, kl_loss
 
 
 def _time(fn, args, repeats):
@@ -94,6 +97,20 @@ def main(argv=None):
         t_draw = _time(sample_field, (factor, rng), args.repeats)
         label = f"sample_field ({grid.n_tiles} tiles)"
         print(f"{label:<30} {t_draw * 1e3:>8.3f}ms")
+    rng = np.random.default_rng(args.seed)
+    for n_players, n_tiles in ((60, 350), (12, 1750)):
+        # LGCP surfaces are strictly positive, and so are the fitted products
+        target = rng.uniform(1e-5, 1.0, size=(n_players, n_tiles))
+        model = rng.uniform(1e-5, 1.0, size=(n_players, n_tiles))
+        t_loss = _time(kl_loss, (target, model), args.repeats)
+        label = f"kl_loss ({n_players} x {n_tiles})"
+        print(f"{label:<30} {t_loss * 1e3:>8.3f}ms")
+    # the perfbench NMF chain (2 restarts x 200 steps) at K = 8; with tol = 0
+    # a fit stops early only if its loss rises
+    target = rng.uniform(1e-5, 1.0, size=(60, 350))
+    config = NmfConfig(max_iters=200, tol=0.0, restarts=2, seed=args.seed)
+    t_fit = _time(fit_nmf, (target, 8, "kl", config), max(1, args.repeats // 10))
+    print(f"{'fit_nmf kl (60 x 350, K=8)':<30} {t_fit * 1e3:>8.3f}ms")
     return 0
 
 
