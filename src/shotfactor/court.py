@@ -10,6 +10,11 @@ from typing import Sequence
 import numpy as np
 
 
+def is_integer(value) -> bool:
+    """An integer that is not a bool, so a config's ``true`` is not taken as 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CourtGrid:
     """Rectangular discretization of the offensive half court.

@@ -9,16 +9,14 @@ elliptical slice sampling, and the variances are conjugate draws.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
-from .court import write_labeled_csv
+from .court import is_integer, write_labeled_csv
 from .lgcp import ess_update
-from .nmf import FactorModel
 
 # Fixed prior: global logits ~ N(0, SIGMA0_SQ), type variances ~ IG(PRIOR_A, PRIOR_B)
 SIGMA0_SQ = 100.0
@@ -84,7 +82,7 @@ class EfficiencyConfig:
     def __post_init__(self):
         for name, low in (("sweeps", 1), ("burn_in", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.burn_in >= self.sweeps:
             raise ValueError(f"burn_in must be below sweeps, got {self.burn_in!r}")
@@ -101,22 +99,23 @@ class EfficiencyFit:
     config: EfficiencyConfig
 
 
-def adjust_weights(model: FactorModel) -> AdjustedLoadings:
-    """Fold each basis's total mass into the weights and normalize the rows.
+def adjust_weights(weights: np.ndarray, bases: np.ndarray) -> AdjustedLoadings:
+    """Fold each basis's total mass into the NMF weights (N x K) and
+    normalize the bases (K x V) to unit rows.
 
     Reconstructions are unchanged: weights[n] @ bases == W[n] @ B.  Bases
     with zero mass cannot carry any shot and are dropped with a warning.
     """
-    mass = model.bases.sum(axis=1)
+    mass = bases.sum(axis=1)
     keep = mass > 0
     if not np.all(keep):
         warnings.warn(
             f"dropping {int((~keep).sum())} zero-mass bases", stacklevel=2
         )
     mass = mass[keep]
-    bases = model.bases[keep] / mass[:, None]
-    weights = model.weights[:, keep] * mass[None, :]
-    return AdjustedLoadings(weights=weights, bases=bases)
+    return AdjustedLoadings(
+        weights=weights[:, keep] * mass[None, :], bases=bases[keep] / mass[:, None]
+    )
 
 
 def shot_type_posterior(
@@ -204,7 +203,6 @@ def fit_efficiency(
     made: np.ndarray,
     loadings: AdjustedLoadings,
     config: EfficiencyConfig | None = None,
-    rng=None,
 ) -> EfficiencyFit:
     """Gibbs sampler over types, logits, and variances.
 
@@ -224,9 +222,8 @@ def fit_efficiency(
     n, k = loadings.n_players, loadings.k
     if players.min() < 0 or players.max() >= n:
         raise ValueError("shot references a player without loadings")
-    if rng is None:
-        # stream tag 4: the Gibbs chain stays disjoint from other stages
-        rng = np.random.default_rng([config.seed, 4])
+    # stream tag 4: the Gibbs chain stays disjoint from other stages
+    rng = np.random.default_rng([config.seed, 4])
 
     probs, totals = backend.type_weights(loadings.weights, loadings.bases, players, tiles)
     cum = np.cumsum(probs, axis=1)
@@ -309,12 +306,12 @@ def efficiency_surface(
 # ---------------------------------------------------------------------------
 
 
-def write_efficiency_csv(prefix, model: EfficiencyModel, players) -> list:
-    """Write <prefix>_beta.csv (player rows) and <prefix>_global.csv."""
-    beta_path = f"{prefix}_beta.csv"
-    global_path = f"{prefix}_global.csv"
+def write_efficiency_csv(
+    beta_path, global_path, model: EfficiencyModel, players
+) -> None:
+    """Write the player logits (one row per player) and the global means and
+    variances."""
     write_labeled_csv(beta_path, players, model.beta)
     write_labeled_csv(
         global_path, ["beta0", "sigma2"], np.vstack([model.beta0, model.sigma2])
     )
-    return [beta_path, global_path]

@@ -203,12 +203,10 @@ def compare_surfaces(
 # ---------------------------------------------------------------------------
 
 
-def write_eval_report(out_dir, report: EvalReport) -> dict:
-    """Write the summary CSV, the per-player CSV, and a plain-text table."""
-    os.makedirs(out_dir, exist_ok=True)
-    per_player_path = os.path.join(out_dir, "eval_per_player.csv")
-    summary_path = os.path.join(out_dir, "eval_report.csv")
-    text_path = os.path.join(out_dir, "eval_report.txt")
+def write_eval_report(paths, report: EvalReport) -> None:
+    """Write the summary CSV, the per-player CSV and a plain-text table, in
+    the order of ``paths``; the summary names the per-player file."""
+    summary_path, per_player_path, text_path = paths
 
     with open(per_player_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -243,9 +241,3 @@ def write_eval_report(out_dir, report: EvalReport) -> dict:
             f.write("\nbasis recovery (mean matched cosine)\n")
             for (model, k), scorer in sorted(report.recovery.items()):
                 f.write(f"{model:<14}{k:>4}{scorer.mean:>14.4f}\n")
-
-    return {
-        "summary": summary_path,
-        "per_player": per_player_path,
-        "text": text_path,
-    }

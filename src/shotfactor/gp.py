@@ -54,21 +54,15 @@ def squared_exponential(xi, xj, hyper: KernelHyper):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def build_cov_factor(
-    grid: CourtGrid, hyper: KernelHyper, jitter: float | None = None
-) -> CovFactor:
+def build_cov_factor(grid: CourtGrid, hyper: KernelHyper) -> CovFactor:
     """Factorize the tile covariance as ``variance * Ky ⊗ Kx``.
 
     The squared-exponential kernel is separable, so on the tile grid only
     the 1-D kernels over row and column centers are built: O(nx^2 + ny^2)
-    memory, not O(V^2).  Jitter (default 1e-6 * variance) is added to both
+    memory, not O(V^2).  Jitter of 1e-6 * variance is added to both
     factors' diagonals, which moves the covariance by O(jitter); a failed
     factorization retries with jitter scaled by 10, up to 3 times.
     """
-    if jitter is None:
-        jitter = 1e-6 * hyper.variance
-    if jitter <= 0:
-        raise ValueError("jitter must be positive")
     centers = grid.tile_centers()
     kernels = [
         backend.sq_exp_matrix(
@@ -76,7 +70,7 @@ def build_cov_factor(
         )
         for axis in (centers[:: grid.nx, 1], centers[: grid.nx, 0])
     ]
-    current = jitter
+    current = 1e-6 * hyper.variance
     for attempt in range(4):
         try:
             lower_y, lower_x = [

@@ -4,14 +4,13 @@ posterior-mean fitting, and unit-volume normalization."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import backend
-from .court import CourtGrid
+from .court import CourtGrid, is_integer
 from .gp import CovFactor, KernelHyper, sample_field
 
 _MAX_SHRINK = 1000
@@ -35,7 +34,7 @@ class LgcpConfig:
     def __post_init__(self):
         for name, low in (("burn_in", 0), ("n_samples", 1), ("thinning", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

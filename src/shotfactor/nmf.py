@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .court import read_labeled_csv, write_labeled_csv
+from .court import is_integer, write_labeled_csv
 
 EPS_FLOOR = 1e-12
 
@@ -28,12 +28,11 @@ class NmfConfig:
     tol: float = 1e-6
     restarts: int = 5
     seed: int = 0
-    eps: float = EPS_FLOOR
 
     def __post_init__(self):
         for name, low in (("restarts", 1), ("max_iters", 0)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            if not is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.tol, numbers.Real) or not self.tol >= 0:
             raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
@@ -101,24 +100,24 @@ def kl_loss(x: np.ndarray, y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def nmf_step_frobenius(w, b, target, eps: float = EPS_FLOOR):
+def nmf_step_frobenius(w, b, target):
     """One multiplicative update pair under the squared loss: W first, then B
-    using the updated W.  Factors are floored at eps."""
-    w = w * (target @ b.T) / (w @ (b @ b.T) + eps)
-    w = np.maximum(w, eps)
-    b = b * (w.T @ target) / ((w.T @ w) @ b + eps)
-    b = np.maximum(b, eps)
+    using the updated W.  Factors are floored at EPS_FLOOR."""
+    w = w * (target @ b.T) / (w @ (b @ b.T) + EPS_FLOOR)
+    w = np.maximum(w, EPS_FLOOR)
+    b = b * (w.T @ target) / ((w.T @ w) @ b + EPS_FLOOR)
+    b = np.maximum(b, EPS_FLOOR)
     return w, b
 
 
-def nmf_step_kl(w, b, target, eps: float = EPS_FLOOR):
+def nmf_step_kl(w, b, target):
     """One multiplicative update pair under the generalized KL loss."""
-    ratio = target / np.maximum(w @ b, eps)
-    w = w * (ratio @ b.T) / (b.sum(axis=1)[None, :] + eps)
-    w = np.maximum(w, eps)
-    ratio = target / np.maximum(w @ b, eps)
-    b = b * (w.T @ ratio) / (w.sum(axis=0)[:, None] + eps)
-    b = np.maximum(b, eps)
+    ratio = target / np.maximum(w @ b, EPS_FLOOR)
+    w = w * (ratio @ b.T) / (b.sum(axis=1)[None, :] + EPS_FLOOR)
+    w = np.maximum(w, EPS_FLOOR)
+    ratio = target / np.maximum(w @ b, EPS_FLOOR)
+    b = b * (w.T @ ratio) / (w.sum(axis=0)[:, None] + EPS_FLOOR)
+    b = np.maximum(b, EPS_FLOOR)
     return w, b
 
 
@@ -126,12 +125,12 @@ _STEPS = {"frobenius": nmf_step_frobenius, "kl": nmf_step_kl}
 _LOSSES = {"frobenius": frobenius_loss, "kl": kl_loss}
 
 
-def _init_factors(target, k, rng, eps):
+def _init_factors(target, k, rng):
     n, v = target.shape
     w = rng.uniform(0.1, 1.0, size=(n, k))
     b = rng.uniform(0.1, 1.0, size=(k, v))
     # match the data's total mass at the start
-    scale = np.sqrt(target.sum() / max((w @ b).sum(), eps))
+    scale = np.sqrt(target.sum() / max((w @ b).sum(), EPS_FLOOR))
     return w * scale, b * scale
 
 
@@ -150,22 +149,22 @@ def fit_nmf(data, k: int, loss: str = "kl", config: NmfConfig | None = None) -> 
     config = config or NmfConfig()
     target = np.asarray(data, dtype=np.float64)
     n, v = target.shape
-    if not 1 <= k <= min(n, v):
-        raise ValueError(f"k must be in [1, {min(n, v)}], got {k}")
+    if not is_integer(k) or not 1 <= k <= min(n, v):
+        raise ValueError(f"k must be an integer in [1, {min(n, v)}], got {k!r}")
     step, loss_fn = _STEPS[loss], _LOSSES[loss]
 
     best: FactorModel | None = None
     for restart in range(config.restarts):
         # stream tag 3: restart inits stay disjoint from other stages
         rng = np.random.default_rng([config.seed, 3, restart])
-        w, b = _init_factors(target, k, rng, config.eps)
+        w, b = _init_factors(target, k, rng)
         prev = loss_fn(target, w @ b)
         trace = [prev]
         steps = 0
         while steps < config.max_iters:
             window = min(CHECK_EVERY, config.max_iters - steps)
             for _ in range(window):
-                w, b = step(w, b, target, config.eps)
+                w, b = step(w, b, target)
             steps += window
             cur = loss_fn(target, w @ b)
             trace.append(cur)
@@ -227,11 +226,10 @@ def pca_reconstruct(model: PcaModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_factor_model(prefix, model: FactorModel, players: Sequence[str]) -> list:
-    """Write <prefix>_W.csv, <prefix>_B.csv and <prefix>_manifest.txt."""
-    w_path = f"{prefix}_W.csv"
-    b_path = f"{prefix}_B.csv"
-    m_path = f"{prefix}_manifest.txt"
+def write_factor_model(paths, model: FactorModel, players: Sequence[str]) -> None:
+    """Write the weights CSV, the bases CSV and the JSON manifest, in the
+    order of ``paths``."""
+    w_path, b_path, m_path = paths
     write_labeled_csv(w_path, players, model.weights)
     write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases)
     with open(m_path, "w") as f:
@@ -248,21 +246,3 @@ def write_factor_model(prefix, model: FactorModel, players: Sequence[str]) -> li
             sort_keys=True,
         )
         f.write("\n")
-    return [w_path, b_path, m_path]
-
-
-def read_factor_model(prefix) -> tuple[FactorModel, list[str]]:
-    with open(f"{prefix}_manifest.txt") as f:
-        meta = json.load(f)
-    players, weights, _ = read_labeled_csv(f"{prefix}_W.csv")
-    _, bases, _ = read_labeled_csv(f"{prefix}_B.csv")
-    model = FactorModel(
-        weights=weights,
-        bases=bases,
-        loss=meta["loss"],
-        final_loss=meta["final_loss"],
-        trace=np.array([meta["final_loss"]]),
-        n_iters=meta["iterations"],
-        seed=meta["seed"],
-    )
-    return model, players

@@ -26,6 +26,7 @@ from . import __version__
 from .court import (
     CourtGrid,
     build_count_matrix,
+    is_integer,
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
@@ -45,7 +46,7 @@ from .efficiency import (
 from .evaluate import EvalConfig, compare_surfaces, write_eval_report
 from .gp import KernelHyper, build_cov_factor
 from .lgcp import LgcpConfig, fit_cohort
-from .nmf import NmfConfig, fit_nmf, read_factor_model, write_factor_model
+from .nmf import NmfConfig, fit_nmf, write_factor_model
 from .synth import SynthConfig
 
 LOSSES = ("kl", "frobenius")
@@ -104,12 +105,10 @@ class PipelineConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
+        if not is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         ks = self.k_list
-        if not isinstance(ks, (list, tuple)) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in ks
-        ):
+        if not isinstance(ks, (list, tuple)) or not all(is_integer(k) for k in ks):
             raise ValueError(f"k_list must be a list of integers, got {ks!r}")
         self.k_list = tuple(ks)
 
@@ -332,16 +331,17 @@ def stage_lgcp(inputs, outputs, lgcp: LgcpConfig):
 def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
     (surfaces_path,) = inputs
     players, matrix, _ = read_labeled_csv(surfaces_path)
-    model = fit_nmf(matrix, k, loss=loss, config=nmf)
-    write_factor_model(outputs[0].removesuffix("_W.csv"), model, players)
+    write_factor_model(outputs, fit_nmf(matrix, k, loss=loss, config=nmf), players)
 
 
 def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyConfig):
-    """Fit the outcome model on the factors and the training shots."""
-    factors_w, _, _, shots_path = inputs
-    beta_path, _, surfaces_path = outputs
-    model, players = read_factor_model(factors_w.removesuffix("_W.csv"))
-    loadings = adjust_weights(model)
+    """Fit the outcome model on the factors and the training shots.  The
+    factor manifest is not read; it is an input so that it keys this stage."""
+    w_path, b_path, _, shots_path = inputs
+    beta_path, global_path, surfaces_path = outputs
+    players, weights, _ = read_labeled_csv(w_path)
+    _, bases, _ = read_labeled_csv(b_path)
+    loadings = adjust_weights(weights, bases)
     shots = read_shot_csv(shots_path, grid)
     idx = shots.player_rows(players)
     if np.any(idx < 0):
@@ -349,7 +349,7 @@ def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyCon
         raise ValueError(f"shots reference players without loadings: {missing[:5]}")
     tiles = tile_indices(shots.x, shots.y, grid)
     fit = fit_efficiency(idx, tiles, shots.made, loadings, efficiency)
-    write_efficiency_csv(beta_path.removesuffix("_beta.csv"), fit.model, players)
+    write_efficiency_csv(beta_path, global_path, fit.model, players)
     ids = ["global"] + list(players)
     rows = np.vstack(
         [efficiency_surface(loadings, fit.model)]
@@ -373,7 +373,7 @@ def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
     report = compare_surfaces(
         cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth_bases
     )
-    write_eval_report(os.path.dirname(outputs[0]), report)
+    write_eval_report(outputs, report)
 
 
 # ---------------------------------------------------------------------------

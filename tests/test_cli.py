@@ -14,8 +14,14 @@ import pytest
 from shotfactor import cli
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
 from shotfactor.court import read_count_csv, read_labeled_csv
-from shotfactor.nmf import read_factor_model
-from shotfactor.pipeline import STAGE_CODES, PipelineConfig, parse_config_file
+from shotfactor.pipeline import (
+    STAGE_CODES,
+    STAGES,
+    PipelineConfig,
+    load_config,
+    parse_config_file,
+    run_pipeline,
+)
 
 CONFIG_TEMPLATE = """\
 tile_x = 2.5
@@ -149,14 +155,20 @@ class TestConfigParsing:
             ("lvm_burn_in", 2000, "efficiency_config", "burn_in must be below sweeps"),
             ("fraction", "x", "eval_config", "fraction must be a number in (0, 1)"),
             ("fraction", 1.0, "eval_config", "fraction must be a number in (0, 1)"),
+            ("lgcp_burn_in", True, "lgcp_config", "burn_in must be an integer >= 0"),
+            ("restarts", True, "nmf_config", "restarts must be an integer >= 1"),
+            ("nmf_iters", False, "nmf_config", "max_iters must be an integer >= 0"),
+            ("lvm_burn_in", False, "efficiency_config", "burn_in must be an integer"),
+            ("lvm_sweeps", True, "efficiency_config", "sweeps must be an integer"),
+            ("seed", True, "lgcp_config", "seed must be an integer"),
         ],
     )
     def test_component_views_reject_bad_values_by_name(self, key, value, view, message):
-        """A wrong type or an out-of-range value in a component config is a
-        ValueError naming the field, which the runner maps to its stage."""
-        config = PipelineConfig(**{key: value})
+        """A wrong type (a bool included) or an out-of-range value in a
+        component config is a ValueError naming the field, which the runner
+        maps to its stage; a bad shared seed fails the config itself."""
         with pytest.raises(ValueError, match=re.escape(message)):
-            getattr(config, view)()
+            getattr(PipelineConfig(**{key: value}), view)()
 
     def test_component_views_carry_shared_seed(self):
         """Every component config inherits the global seed."""
@@ -301,8 +313,9 @@ class TestStageCommands:
         capsys.readouterr()
         assert main(["factorize", "--config", config, "--out", out]) == 0
         assert capsys.readouterr().out.count("up to date, skipping") == 2
-        model, names = read_factor_model(tmp_path / "factors_kl_k2")
-        assert names == players and model.k == 2
+        names, weights, _ = read_labeled_csv(tmp_path / "factors_kl_k2_W.csv")
+        _, bases, _ = read_labeled_csv(tmp_path / "factors_kl_k2_B.csv")
+        assert names == players and weights.shape[1] == bases.shape[0] == 2
         shots_path = str(workspace["root"] / "data" / "shots.csv")
         assert (
             main(
@@ -384,6 +397,7 @@ class TestStageCommands:
             ("pipeline", "lgcp_burn_in", '"x"', "lgcp", "burn_in must be"),
             ("pipeline", "lgcp_burn_in", "1.5", "lgcp", "burn_in must be"),
             ("pipeline", "fraction", '"x"', "ingest", "fraction must be"),
+            ("factorize", "k", "true", "factorize", "k must be an integer"),
         ],
     )
     def test_wrong_type_config_fails_its_stage_in_one_line(
@@ -448,6 +462,17 @@ class TestPipelineCommand:
         ]
         for name in expected:
             assert (tmp_path / name).exists(), f"missing {name}"
+
+    def test_stage_table_names_every_file_written(self, workspace, tmp_path):
+        """The artifact directory holds exactly the outputs named in STAGES
+        plus the run's manifest and state: no writer names a file itself."""
+        config = load_config(workspace["config"])
+        run_pipeline(config, out_dir=tmp_path, log=lambda _: None)
+        named = {
+            name.format(**vars(config)) for stage in STAGES for name in stage.outputs
+        }
+        named |= {"pipeline_manifest.txt", "pipeline_state.txt"}
+        assert sorted(os.listdir(tmp_path)) == sorted(named)
 
     def test_rerun_skips_completed_stages(self, workspace, tmp_path, capsys):
         """Intact artifacts short-circuit their stages on rerun."""

@@ -357,9 +357,10 @@ class TestLabeledCsvGoldenBytes:
             trace=np.array([0.5]),
             n_iters=3,
         )
-        write_factor_model(tmp_path / "f", model, ["a", "b"])
-        assert (tmp_path / "f_W.csv").read_bytes() == b"a,0.5,1.25\r\nb,3.0,1e-12\r\n"
-        assert (tmp_path / "f_B.csv").read_bytes() == (
+        paths = [tmp_path / "f_W.csv", tmp_path / "f_B.csv", tmp_path / "f.txt"]
+        write_factor_model(paths, model, ["a", "b"])
+        assert paths[0].read_bytes() == b"a,0.5,1.25\r\nb,3.0,1e-12\r\n"
+        assert paths[1].read_bytes() == (
             b"basis0,0.1,0.9\r\nbasis1,0.75,0.25\r\n"
         )
 
@@ -369,7 +370,9 @@ class TestLabeledCsvGoldenBytes:
             sigma2=np.array([0.1, 2.0]),
             beta=np.array([[-0.4, 1 / 3], [0.0, -1.5]]),
         )
-        write_efficiency_csv(tmp_path / "e", model, ["a", "b"])
+        write_efficiency_csv(
+            tmp_path / "e_beta.csv", tmp_path / "e_global.csv", model, ["a", "b"]
+        )
         assert (tmp_path / "e_beta.csv").read_bytes() == (
             b"a,-0.4,0.3333333333333333\r\nb,0.0,-1.5\r\n"
         )

@@ -18,18 +18,6 @@ from shotfactor.efficiency import (
     sample_shot_types,
     shot_type_posterior,
 )
-from shotfactor.nmf import FactorModel
-
-
-def _factor_model(weights, bases):
-    return FactorModel(
-        weights=np.asarray(weights, dtype=float),
-        bases=np.asarray(bases, dtype=float),
-        loss="kl",
-        final_loss=0.0,
-        trace=np.zeros(1),
-        n_iters=0,
-    )
 
 
 def _split_bases(v=20):
@@ -62,14 +50,14 @@ class TestAdjustWeights:
         """Bases that already sum to 1 make the adjustment a no-op."""
         bases = _split_bases()
         weights = np.array([[2.0, 3.0], [0.5, 1.0]])
-        adj = adjust_weights(_factor_model(weights, bases))
+        adj = adjust_weights(weights, bases)
         np.testing.assert_allclose(adj.weights, weights)
         np.testing.assert_allclose(adj.bases, bases)
 
     def test_mass_three_basis_scales_weight_by_three(self):
         """A basis of total mass 3 under weight 2 gives adjusted weight 6."""
         bases = np.full((1, 6), 0.5)
-        adj = adjust_weights(_factor_model(np.array([[2.0]]), bases))
+        adj = adjust_weights(np.array([[2.0]]), bases)
         np.testing.assert_allclose(adj.weights, [[6.0]])
         np.testing.assert_allclose(adj.bases.sum(axis=1), [1.0])
 
@@ -79,7 +67,7 @@ class TestAdjustWeights:
         for _ in range(20):
             weights = rng.uniform(0.0, 2.0, size=(5, 3))
             bases = rng.uniform(0.1, 1.0, size=(3, 12))
-            adj = adjust_weights(_factor_model(weights, bases))
+            adj = adjust_weights(weights, bases)
             np.testing.assert_allclose(
                 adj.weights @ adj.bases, weights @ bases, atol=1e-9
             )
@@ -90,7 +78,7 @@ class TestAdjustWeights:
         bases[0, :] = 0.125
         weights = np.array([[1.0, 5.0], [2.0, 7.0]])
         with pytest.warns(UserWarning, match="zero-mass"):
-            adj = adjust_weights(_factor_model(weights, bases))
+            adj = adjust_weights(weights, bases)
         assert adj.k == 1
         np.testing.assert_allclose(adj.weights, [[1.0], [2.0]])
 

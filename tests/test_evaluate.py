@@ -234,15 +234,17 @@ class TestWriteEvalReport:
         report = EvalReport(
             entries=entries, players=["a", "b", "c"], fraction=0.1, seed=3
         )
-        files = write_eval_report(tmp_path, report)
-        assert all(os.path.exists(p) for p in files.values())
-        with open(files["summary"], newline="") as f:
+        paths = [tmp_path / n for n in ("summary.csv", "players.csv", "report.txt")]
+        write_eval_report(paths, report)
+        assert all(os.path.exists(p) for p in paths)
+        with open(paths[0], newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["model", "k", "mean", "stderr", "per_player_file"]
         assert rows[1][0] == "lgcp" and float(rows[1][2]) == -6.0
-        with open(files["per_player"], newline="") as f:
+        assert rows[1][4] == "players.csv"
+        with open(paths[1], newline="") as f:
             per_rows = list(csv.reader(f))
         assert len(per_rows) == 1 + 2 * 3
-        with open(files["text"]) as f:
+        with open(paths[2]) as f:
             text = f.read()
         assert "nmf_kl" in text and "held-out log-likelihood" in text

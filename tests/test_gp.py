@@ -85,14 +85,6 @@ class TestBuildCovFactor:
         f4 = build_cov_factor(GRID, KernelHyper(variance=4.0, length_scale=2.0))
         assert f4.jitter == 4.0 * f1.jitter
 
-    def test_explicit_jitter_respected(self):
-        factor = build_cov_factor(GRID, KernelHyper(), jitter=1e-4)
-        assert factor.jitter == 1e-4
-
-    def test_nonpositive_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            build_cov_factor(GRID, KernelHyper(), jitter=0.0)
-
     def test_long_length_scale_still_factorizes(self):
         """Nearly singular covariances succeed through jitter escalation."""
         h = KernelHyper(variance=1.0, length_scale=200.0)

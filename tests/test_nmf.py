@@ -1,13 +1,14 @@
 """Factorization losses, multiplicative updates, planted-model recovery,
 the PCA baseline, and factor persistence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import entropy
 
-from shotfactor.court import CountMatrix, CourtGrid
+from shotfactor.court import CountMatrix, CourtGrid, read_labeled_csv
 from shotfactor.evaluate import EPS, EvalConfig, compare_surfaces, heldout_loglik
 from shotfactor.nmf import (
     CHECK_EVERY,
@@ -21,7 +22,6 @@ from shotfactor.nmf import (
     nmf_step_frobenius,
     nmf_step_kl,
     pca_reconstruct,
-    read_factor_model,
     write_factor_model,
 )
 
@@ -264,6 +264,12 @@ class TestFitNmf:
         with pytest.raises(ValueError):
             fit_nmf(lam, 4, "kl")
 
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_k_that_is_not_an_integer_rejected_by_name(self, k):
+        """A bool or a float k is a ValueError naming k, not a pass as 1."""
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fit_nmf(np.full((3, 5), 0.2), k, "kl")
+
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="loss"):
             fit_nmf(np.ones((2, 2)), 1, "huber")
@@ -477,14 +483,17 @@ class TestFactorModelIO:
         lam = rng.uniform(0.1, 1.0, size=(5, 8))
         model = fit_nmf(lam, 2, "kl", NmfConfig(restarts=2, seed=3))
         players = [f"p{i}" for i in range(5)]
-        prefix = tmp_path / "factors"
-        paths = write_factor_model(prefix, model, players)
-        assert all(str(p).startswith(str(prefix)) for p in paths)
-        back, back_players = read_factor_model(prefix)
+        paths = [tmp_path / name for name in ("w.csv", "b.csv", "manifest.txt")]
+        write_factor_model(paths, model, players)
+        back_players, weights, _ = read_labeled_csv(paths[0])
+        basis_ids, bases, _ = read_labeled_csv(paths[1])
+        with open(paths[2]) as f:
+            meta = json.load(f)
         assert back_players == players
-        np.testing.assert_array_equal(back.weights, model.weights)
-        np.testing.assert_array_equal(back.bases, model.bases)
-        assert back.loss == model.loss
-        assert back.final_loss == model.final_loss
-        assert back.n_iters == model.n_iters
-        assert back.seed == model.seed
+        assert basis_ids == ["basis0", "basis1"]
+        np.testing.assert_array_equal(weights, model.weights)
+        np.testing.assert_array_equal(bases, model.bases)
+        assert meta["loss"] == model.loss and meta["k"] == 2
+        assert meta["final_loss"] == model.final_loss
+        assert meta["iterations"] == model.n_iters
+        assert meta["seed"] == model.seed
