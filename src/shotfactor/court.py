@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import json
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -10,9 +12,34 @@ from typing import Sequence
 import numpy as np
 
 
-def is_integer(value) -> bool:
-    """An integer that is not a bool, so a config's ``true`` is not taken as 1."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_number(name, value, low, high=None, integer=False, strict=False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` lies in [low, high],
+    or in (low, high) when ``strict``; ``high`` None means no upper bound.
+
+    An integer field takes an Integral and a real field a finite Real;
+    neither takes a bool, so a config's ``true`` is not read as 1.  The
+    value is never converted.
+    """
+    if integer:
+        kind, ok = "an integer", isinstance(value, numbers.Integral)
+    else:
+        kind, ok = "a number", isinstance(value, numbers.Real) and abs(value) < math.inf
+    if strict:
+        bounds = f"> {low}" if high is None else f"in ({low}, {high})"
+        ok = ok and low < value and (high is None or value < high)
+    else:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        ok = ok and low <= value and (high is None or value <= high)
+    if not ok or isinstance(value, bool):
+        raise ValueError(f"{name} must be {kind} {bounds}, got {value!r}")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON with sorted keys, two-space indents and a final
+    newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 @dataclass(frozen=True)
@@ -30,13 +57,13 @@ class CourtGrid:
     tile_size: float | tuple[float, float] = 1.0
 
     def __post_init__(self):
-        if self.width <= 0 or self.length <= 0:
-            raise ValueError("court dimensions must be positive")
-        tx, ty = self.tile_dims
-        if tx <= 0 or ty <= 0:
-            raise ValueError("tile_size must be positive")
+        check_number("width", self.width, 0, strict=True)
+        check_number("length", self.length, 0, strict=True)
         if isinstance(self.tile_size, list):
             object.__setattr__(self, "tile_size", tuple(self.tile_size))
+        sizes = self.tile_size
+        for size in sizes if isinstance(sizes, tuple) else (sizes,):
+            check_number("tile_size", size, 0, strict=True)
 
     @property
     def tile_dims(self) -> tuple[float, float]:
@@ -160,6 +187,7 @@ def build_count_matrix(
     which is how train/test matrices stay aligned.  Row order is otherwise
     sorted player id.
     """
+    check_number("min_attempts", min_attempts, 0, integer=True)
     if len(shots) == 0:
         raise ValueError("no shots supplied")
     if players is None:
@@ -187,8 +215,7 @@ def split_holdout(
     streams derived from (seed, player rank), so the split does not depend
     on input order.  Both parts keep the input's row order.
     """
-    if not isinstance(fraction, numbers.Real) or not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be a number in (0, 1), got {fraction!r}")
+    check_number("fraction", fraction, 0, 1, strict=True)
     # draw over content-sorted positions so shuffled input gives the same
     # partition (up to exact-duplicate shots)
     order = np.lexsort((shots.made, shots.y, shots.x, shots.players))

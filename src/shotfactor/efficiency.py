@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .court import is_integer, write_labeled_csv
+from .court import check_number, write_labeled_csv
 from .lgcp import ess_update
 
 # Fixed prior: global logits ~ N(0, SIGMA0_SQ), type variances ~ IG(PRIOR_A, PRIOR_B)
@@ -80,10 +80,9 @@ class EfficiencyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("sweeps", 1), ("burn_in", 0)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_number("sweeps", self.sweeps, 1, integer=True)
+        check_number("burn_in", self.burn_in, 0, integer=True)
+        check_number("seed", self.seed, 0, integer=True)
         if self.burn_in >= self.sweeps:
             raise ValueError(f"burn_in must be below sweeps, got {self.burn_in!r}")
 

@@ -10,14 +10,13 @@ identical terms.
 from __future__ import annotations
 
 import csv
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backend import log_factorial
-from .court import CountMatrix
+from .court import CountMatrix, check_number
 from .nmf import COUNT_JITTER, NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
 EPS = 1e-12
@@ -33,9 +32,8 @@ class EvalConfig:
     models: tuple = MODEL_NAMES
 
     def __post_init__(self):
-        fraction = self.fraction
-        if not isinstance(fraction, numbers.Real) or not 0 < fraction < 1:
-            raise ValueError(f"fraction must be a number in (0, 1), got {fraction!r}")
+        check_number("fraction", self.fraction, 0, 1, strict=True)
+        check_number("seed", self.seed, 0, integer=True)
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
@@ -100,8 +98,7 @@ def heldout_loglik(
     and floored at a tiny rate so empty tiles cannot produce infinities;
     each tile contributes c*log(area*rate) - area*rate - log(c!).
     """
-    if not 0 < fraction < 1:
-        raise ValueError("holdout fraction must lie in (0, 1)")
+    check_number("fraction", fraction, 0, 1, strict=True)
     counts = np.asarray(test_counts, dtype=np.float64)
     scale = np.asarray(train_volumes, dtype=np.float64) * fraction / (1.0 - fraction)
     lam = area * np.maximum(unit_rows * scale[:, None], EPS)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .court import CourtGrid
+from .court import CourtGrid, check_number
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,8 @@ class KernelHyper:
     length_scale: float = 5.0
 
     def __post_init__(self):
-        if self.variance <= 0 or self.length_scale <= 0:
-            raise ValueError("variance and length_scale must be positive")
+        check_number("variance", self.variance, 0, strict=True)
+        check_number("length_scale", self.length_scale, 0, strict=True)
 
 
 @dataclass(eq=False)

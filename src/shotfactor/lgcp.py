@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import backend
-from .court import CourtGrid, is_integer
+from .court import CourtGrid, check_number
 from .gp import CovFactor, KernelHyper, sample_field
 
 _MAX_SHRINK = 1000
@@ -18,24 +18,19 @@ _MAX_SHRINK = 1000
 
 @dataclass
 class LgcpConfig:
-    """Sampler settings for one intensity fit.
-
-    ``log_mean_rate`` is the fixed additive bias of the log-intensity; None
-    means the empirical value log(total count / court area).
-    """
+    """Sampler settings for one intensity fit."""
 
     hyper: KernelHyper = field(default_factory=KernelHyper)
-    log_mean_rate: float | None = None
     burn_in: int = 500
     n_samples: int = 500
     thinning: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("burn_in", 0), ("n_samples", 1), ("thinning", 1)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_number("burn_in", self.burn_in, 0, integer=True)
+        check_number("n_samples", self.n_samples, 1, integer=True)
+        check_number("thinning", self.thinning, 1, integer=True)
+        check_number("seed", self.seed, 0, integer=True)
 
 
 def ess_update(
@@ -91,22 +86,18 @@ def fit_lgcp(
 ) -> np.ndarray:
     """Posterior-mean per-tile rates for one player's tile counts.
 
-    Runs burn-in, then keeps every ``thinning``-th state and averages the
-    intensities exp(field + bias) over kept states (mean of intensities, not
-    the exponential of the mean field).
+    The bias is log(total count / court area), so a player without shots
+    is rejected.  Runs burn-in, then keeps every ``thinning``-th state and
+    averages the intensities exp(field + bias) over kept states (mean of
+    intensities, not the exponential of the mean field).
     """
     counts = np.asarray(counts)
     if counts.shape != (grid.n_tiles,):
         raise ValueError("counts length does not match grid")
-    if config.log_mean_rate is None:
-        total = int(counts.sum())
-        if total == 0:
-            raise ValueError(
-                "player has zero shots; pass an explicit log_mean_rate"
-            )
-        bias = math.log(total / (grid.n_tiles * grid.tile_area))
-    else:
-        bias = float(config.log_mean_rate)
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("player has zero shots")
+    bias = math.log(total / (grid.n_tiles * grid.tile_area))
     if rng is None:
         rng = np.random.default_rng([config.seed])
     area = grid.tile_area

@@ -3,14 +3,12 @@ baseline.  Both losses use the classic multiplicative updates."""
 
 from __future__ import annotations
 
-import json
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .court import is_integer, write_labeled_csv
+from .court import check_number, write_json, write_labeled_csv
 
 EPS_FLOOR = 1e-12
 
@@ -30,12 +28,10 @@ class NmfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("restarts", 1), ("max_iters", 0)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not isinstance(self.tol, numbers.Real) or not self.tol >= 0:
-            raise ValueError(f"tol must be a number >= 0, got {self.tol!r}")
+        check_number("max_iters", self.max_iters, 0, integer=True)
+        check_number("tol", self.tol, 0)
+        check_number("restarts", self.restarts, 1, integer=True)
+        check_number("seed", self.seed, 0, integer=True)
 
 
 @dataclass(eq=False)
@@ -149,8 +145,7 @@ def fit_nmf(data, k: int, loss: str = "kl", config: NmfConfig | None = None) -> 
     config = config or NmfConfig()
     target = np.asarray(data, dtype=np.float64)
     n, v = target.shape
-    if not is_integer(k) or not 1 <= k <= min(n, v):
-        raise ValueError(f"k must be an integer in [1, {min(n, v)}], got {k!r}")
+    check_number("k", k, 1, min(n, v), integer=True)
     step, loss_fn = _STEPS[loss], _LOSSES[loss]
 
     best: FactorModel | None = None
@@ -197,8 +192,7 @@ def fit_pca(data, k: int) -> PcaModel:
     """
     matrix = np.asarray(data, dtype=np.float64)
     n, v = matrix.shape
-    if not 1 <= k <= min(n - 1, v):
-        raise ValueError(f"k must be in [1, {min(n - 1, v)}], got {k}")
+    check_number("k", k, 1, min(n - 1, v), integer=True)
     mean = matrix.mean(axis=0)
     centered = matrix - mean
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
@@ -232,17 +226,11 @@ def write_factor_model(paths, model: FactorModel, players: Sequence[str]) -> Non
     w_path, b_path, m_path = paths
     write_labeled_csv(w_path, players, model.weights)
     write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases)
-    with open(m_path, "w") as f:
-        json.dump(
-            {
-                "loss": model.loss,
-                "k": model.k,
-                "final_loss": model.final_loss,
-                "iterations": model.n_iters,
-                "seed": model.seed,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    manifest = {
+        "loss": model.loss,
+        "k": model.k,
+        "final_loss": model.final_loss,
+        "iterations": model.n_iters,
+        "seed": model.seed,
+    }
+    write_json(m_path, manifest)

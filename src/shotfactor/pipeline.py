@@ -26,13 +26,14 @@ from . import __version__
 from .court import (
     CourtGrid,
     build_count_matrix,
-    is_integer,
+    check_number,
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
     split_holdout,
     tile_indices,
     write_count_csv,
+    write_json,
     write_labeled_csv,
     write_shot_csv,
 )
@@ -105,11 +106,16 @@ class PipelineConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        if not is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        check_number("seed", self.seed, 0, integer=True)
         ks = self.k_list
-        if not isinstance(ks, (list, tuple)) or not all(is_integer(k) for k in ks):
-            raise ValueError(f"k_list must be a list of integers, got {ks!r}")
+        try:
+            if not isinstance(ks, (list, tuple)) or not ks:
+                raise ValueError("not a non-empty list")
+            for k in ks:
+                check_number("k", k, 1, integer=True)
+        except ValueError as exc:
+            message = f"k_list must be a list of integers >= 1, got {ks!r}"
+            raise ValueError(message) from exc
         self.k_list = tuple(ks)
 
     @classmethod
@@ -248,11 +254,6 @@ class StageRunner:
         parts += [f"{n}={self.checksum(p)}" for n, p in inputs.items()]
         self.keys[name] = hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
-    def _save(self):
-        with open(self.state_path, "w") as f:
-            json.dump(self.state, f, indent=2, sort_keys=True)
-            f.write("\n")
-
     def run(self, name: str, outputs: list, fn):
         key = self.keys[name]
         recorded = self.state["artifacts"]
@@ -282,7 +283,7 @@ class StageRunner:
         for r, p in zip(rel, outputs):
             self.sums[p] = recorded[r] = _sha256(p)
         self.state["stages"][name] = key
-        self._save()
+        write_json(self.state_path, self.state)
         self.log(f"[{name}] done ({reason})")
 
 
@@ -313,19 +314,13 @@ def stage_lgcp(inputs, outputs, lgcp: LgcpConfig):
     factor = build_cov_factor(cm.grid, lgcp.hyper)
     surfaces, volumes = fit_cohort(cm.counts, factor, cm.grid, lgcp)
     write_labeled_csv(surfaces_path, cm.players, surfaces, cm.grid)
-    with open(meta_path, "w") as f:
-        json.dump(
-            {
-                "kernel": [lgcp.hyper.variance, lgcp.hyper.length_scale],
-                "chain": [lgcp.burn_in, lgcp.n_samples, lgcp.thinning],
-                "seed": lgcp.seed,
-                "volumes": dict(zip(cm.players, volumes.tolist())),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    meta = {
+        "kernel": [lgcp.hyper.variance, lgcp.hyper.length_scale],
+        "chain": [lgcp.burn_in, lgcp.n_samples, lgcp.thinning],
+        "seed": lgcp.seed,
+        "volumes": dict(zip(cm.players, volumes.tolist())),
+    }
+    write_json(meta_path, meta)
 
 
 def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
@@ -468,9 +463,7 @@ def run_pipeline(
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
-    with open(os.path.join(out_dir, "pipeline_manifest.txt"), "w") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "pipeline_manifest.txt"), config.to_dict())
     data = {
         SHOTS: config.shots,
         TRUTH: os.path.join(os.path.dirname(config.shots), "truth_B.csv"),

@@ -9,14 +9,21 @@ so generation is reproducible and order-independent.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backend
-from .court import CourtGrid, ShotTable, tile_indices, write_labeled_csv, write_shot_csv
+from .court import (
+    CourtGrid,
+    ShotTable,
+    check_number,
+    tile_indices,
+    write_json,
+    write_labeled_csv,
+    write_shot_csv,
+)
 
 # Basket center in court coordinates: centered across the width, a few feet
 # up from the baseline (which sits at y = 0).
@@ -38,13 +45,14 @@ class SynthConfig:
     grid: CourtGrid = field(default_factory=lambda: CourtGrid(tile_size=(2.5, 2.0)))
 
     def __post_init__(self):
-        if self.n_players < 1 or self.k_star < 1:
-            raise ValueError("need at least one player and one basis")
+        check_number("n_players", self.n_players, 1, integer=True)
+        check_number("k_star", self.k_star, 1, integer=True)
         lo, hi = self.budget_range
-        if not 0 < lo <= hi:
-            raise ValueError("budget range must satisfy 0 < lo <= hi")
-        if self.alpha <= 0 or self.sigma_star < 0:
-            raise ValueError("alpha must be positive, sigma_star non-negative")
+        check_number("budget_range", lo, 1, integer=True)
+        check_number("budget_range", hi, lo, integer=True)
+        check_number("alpha", self.alpha, 0, strict=True)
+        check_number("sigma_star", self.sigma_star, 0)
+        check_number("seed", self.seed, 0, integer=True)
 
 
 @dataclass(eq=False)
@@ -78,8 +86,7 @@ def make_planted_bases(grid: CourtGrid, k_star: int, seed: int) -> np.ndarray:
     enforced at generation time.
     """
     slots = 6
-    if not 1 <= k_star <= slots:
-        raise ValueError(f"k_star must be in [1, {slots}], got {k_star}")
+    check_number("k_star", k_star, 1, slots, integer=True)
     # stream tag 5: basis jitter stays disjoint from the other synth draws
     rng = np.random.default_rng([seed, 5])
     jit = rng.uniform(-0.5, 0.5, size=8)
@@ -228,25 +235,19 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
 
     manifest_path = os.path.join(out_dir, "synth_manifest.txt")
     grid = config.grid
-    with open(manifest_path, "w") as f:
-        json.dump(
-            {
-                "n_players": config.n_players,
-                "k_star": config.k_star,
-                "budget_range": list(config.budget_range),
-                "alpha": config.alpha,
-                "sigma_star": config.sigma_star,
-                "seed": config.seed,
-                "grid": [grid.width, grid.length, *grid.tile_dims],
-                "beta0_star": truth.beta0.tolist(),
-                "budgets": truth.budgets.tolist(),
-                "n_shots": len(shots),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    manifest = {
+        "n_players": config.n_players,
+        "k_star": config.k_star,
+        "budget_range": list(config.budget_range),
+        "alpha": config.alpha,
+        "sigma_star": config.sigma_star,
+        "seed": config.seed,
+        "grid": [grid.width, grid.length, *grid.tile_dims],
+        "beta0_star": truth.beta0.tolist(),
+        "budgets": truth.budgets.tolist(),
+        "n_shots": len(shots),
+    }
+    write_json(manifest_path, manifest)
     return {
         "shots": shots_path,
         "truth_B": b_path,

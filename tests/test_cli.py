@@ -133,7 +133,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown config keys"):
             PipelineConfig.from_mapping({"sed": 1})
 
-    @pytest.mark.parametrize("value", ["4", '[1, "x"]', '"12"'])
+    @pytest.mark.parametrize("value", ["4", '[1, "x"]', '"12"', "[]"])
     def test_bad_k_list_exits_one_naming_the_key(self, tmp_path, capsys, value):
         """A k_list that is not a list of integers is one error line that
         names the key, not a traceback."""
@@ -161,6 +161,18 @@ class TestConfigParsing:
             ("lvm_burn_in", False, "efficiency_config", "burn_in must be an integer"),
             ("lvm_sweeps", True, "efficiency_config", "sweeps must be an integer"),
             ("seed", True, "lgcp_config", "seed must be an integer"),
+            ("seed", -1, "lgcp_config", "seed must be an integer >= 0"),
+            ("variance", "x", "lgcp_config", "variance must be a number > 0"),
+            ("variance", float("nan"), "lgcp_config", "variance must be a number > 0"),
+            ("length_scale", True, "lgcp_config", "length_scale must be a number > 0"),
+            ("width", "wide", "grid", "width must be a number > 0"),
+            ("tile_x", True, "grid", "tile_size must be a number > 0"),
+            ("nmf_tol", float("inf"), "nmf_config", "tol must be a number >= 0"),
+            ("n_players", 2.5, "synth_config", "n_players must be an integer >= 1"),
+            ("k_star", True, "synth_config", "k_star must be an integer >= 1"),
+            ("budget_max", 50, "synth_config", "budget_range must be an integer"),
+            ("alpha", "x", "synth_config", "alpha must be a number > 0"),
+            ("sigma_star", float("nan"), "synth_config", "sigma_star must be a number"),
         ],
     )
     def test_component_views_reject_bad_values_by_name(self, key, value, view, message):
@@ -276,6 +288,25 @@ class TestSynthCommand:
         rc = _synth(config_path, tmp_path / "bad")
         assert rc != 0
         assert "k_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_players", "2.5", "n_players must be an integer >= 1"),
+            ("k_star", "true", "k_star must be an integer >= 1"),
+            ("sigma_star", "NaN", "sigma_star must be a number >= 0"),
+        ],
+    )
+    def test_bad_value_exits_one_naming_the_field(
+        self, tmp_path, capsys, key, value, message
+    ):
+        """A synth value of the wrong type, a bool or NaN included, exits 1
+        with one error line naming the field."""
+        config_path = _write_config(str(tmp_path), **{key: value})
+        assert _synth(config_path, tmp_path / "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_out_env_variable_used_when_no_flag(self, tmp_path, monkeypatch):
         """SHOTFACTOR_OUT overrides the config's output directory."""
@@ -398,6 +429,12 @@ class TestStageCommands:
             ("pipeline", "lgcp_burn_in", "1.5", "lgcp", "burn_in must be"),
             ("pipeline", "fraction", '"x"', "ingest", "fraction must be"),
             ("factorize", "k", "true", "factorize", "k must be an integer"),
+            ("pipeline", "variance", '"x"', "lgcp", "variance must be"),
+            ("pipeline", "width", '"wide"', "ingest", "width must be"),
+            ("pipeline", "variance", "NaN", "lgcp", "variance must be"),
+            ("pipeline", "length_scale", "true", "lgcp", "length_scale must be"),
+            ("pipeline", "nmf_tol", "Infinity", "factorize", "tol must be"),
+            ("pipeline", "min_attempts", "true", "ingest", "min_attempts must be"),
         ],
     )
     def test_wrong_type_config_fails_its_stage_in_one_line(

@@ -196,17 +196,11 @@ class TestFitLgcp:
         )
         assert surface.sum() * SMALL.tile_area == pytest.approx(counts.sum(), rel=0.1)
 
-    def test_zero_total_requires_explicit_rate(self):
+    def test_zero_total_rejected(self):
+        """The bias is log(shots / area), so a row without shots is an error."""
         factor = build_cov_factor(SMALL, KernelHyper())
         with pytest.raises(ValueError, match="zero shots"):
             fit_lgcp(np.zeros(SMALL.n_tiles), factor, SMALL, LgcpConfig())
-        surface = fit_lgcp(
-            np.zeros(SMALL.n_tiles),
-            factor,
-            SMALL,
-            LgcpConfig(log_mean_rate=-2.0, burn_in=50, n_samples=50),
-        )
-        assert np.all(surface > 0)
 
     def test_length_mismatch_rejected(self):
         factor = build_cov_factor(SMALL, KernelHyper())
