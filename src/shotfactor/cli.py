@@ -1,8 +1,7 @@
 """Command-line entry points.
 
 Every subcommand shares --config/--seed/--out; flags beat config-file keys,
-and the SHOTFACTOR_OUT environment variable beats the config's output
-directory (the only environment knob there is).
+and --out beats the config's output directory.
 
 ``pipeline`` runs every stage; each stage subcommand (``ingest``,
 ``fit-lgcp``, ``factorize``, ``fit-efficiency``, ``evaluate``) runs its
@@ -18,9 +17,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import os
 import sys
 
+from .nmf import LOSSES
 from .pipeline import StageError, load_config, run_pipeline
 from .render import render_surface_csv
 from .synth import generate_dataset
@@ -105,9 +104,7 @@ def _resolve(args, **extra):
     if args.seed is not None:
         overrides["seed"] = args.seed
     config = load_config(args.config, overrides)
-    out_dir = args.out or os.environ.get("SHOTFACTOR_OUT") or config.out
-    os.makedirs(out_dir, exist_ok=True)
-    return config, out_dir
+    return config, args.out or config.out
 
 
 def cmd_synth(args) -> int:
@@ -129,8 +126,7 @@ def cmd_run(args) -> int:
     """Run the pipeline, or one stage after the stages it reads from."""
     overrides = {n: getattr(args, n, None) for n in ("shots", "k", "loss", "restarts")}
     config, out_dir = _resolve(args, **overrides)
-    outputs = run_pipeline(config, out_dir, stage=args.stage)
-    written = outputs[args.stage or "evaluate"]
+    written = run_pipeline(config, out_dir, stage=args.stage)
     print(f"{args.command} complete: {', '.join(written)}")
     return 0
 
@@ -155,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="factorize the intensity surfaces")
     p.add_argument("--k", type=int, help="number of bases")
-    p.add_argument("--loss", choices=["kl", "frobenius"])
+    p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--restarts", type=int)
     p.set_defaults(func=cmd_run, stage="factorize")
 

@@ -47,7 +47,7 @@ class CourtGrid:
     """Rectangular discretization of the offensive half court.
 
     ``tile_size`` is either a single edge length in feet (square tiles) or an
-    ``(x, y)`` pair.  Tiles are half-open boxes ``[a, a + t)`` along each axis;
+    ``(x, y)`` tuple.  Tiles are half-open boxes ``[a, a + t)`` along each axis;
     the court's far edges fold into the last tile so every in-court point maps
     to exactly one tile.  Tile ids are row-major with x varying fastest.
     """
@@ -59,16 +59,18 @@ class CourtGrid:
     def __post_init__(self):
         check_number("width", self.width, 0, strict=True)
         check_number("length", self.length, 0, strict=True)
-        if isinstance(self.tile_size, list):
-            object.__setattr__(self, "tile_size", tuple(self.tile_size))
         sizes = self.tile_size
-        for size in sizes if isinstance(sizes, tuple) else (sizes,):
+        if not isinstance(sizes, tuple):
+            sizes = (sizes,)
+        elif len(sizes) != 2:
+            raise ValueError(f"tile_size must be a number or a pair, got {sizes!r}")
+        for size in sizes:
             check_number("tile_size", size, 0, strict=True)
 
     @property
     def tile_dims(self) -> tuple[float, float]:
         t = self.tile_size
-        if isinstance(t, (tuple, list)):
+        if isinstance(t, tuple):
             return float(t[0]), float(t[1])
         return float(t), float(t)
 

@@ -19,6 +19,9 @@ COUNT_JITTER = 1e-8
 # much as an update, so checking every step would double the price of a fit.
 CHECK_EVERY = 10
 
+# The losses fit_nmf minimizes, by the name a config or a flag gives.
+LOSSES = ("kl", "frobenius")
+
 
 @dataclass
 class NmfConfig:
@@ -118,7 +121,7 @@ def nmf_step_kl(w, b, target):
 
 
 _STEPS = {"frobenius": nmf_step_frobenius, "kl": nmf_step_kl}
-_LOSSES = {"frobenius": frobenius_loss, "kl": kl_loss}
+_LOSS_FNS = {"frobenius": frobenius_loss, "kl": kl_loss}
 
 
 def _init_factors(target, k, rng):
@@ -140,13 +143,13 @@ def fit_nmf(data, k: int, loss: str = "kl", config: NmfConfig | None = None) -> 
     ``trace`` holds the starting loss and the loss at each check.  Raw count
     matrices need ``COUNT_JITTER`` added first under the KL loss.
     """
-    if loss not in _STEPS:
-        raise ValueError(f"loss must be one of {sorted(_STEPS)}, got {loss!r}")
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be one of {LOSSES}, got {loss!r}")
     config = config or NmfConfig()
     target = np.asarray(data, dtype=np.float64)
     n, v = target.shape
     check_number("k", k, 1, min(n, v), integer=True)
-    step, loss_fn = _STEPS[loss], _LOSSES[loss]
+    step, loss_fn = _STEPS[loss], _LOSS_FNS[loss]
 
     best: FactorModel | None = None
     for restart in range(config.restarts):

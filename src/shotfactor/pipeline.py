@@ -47,27 +47,8 @@ from .efficiency import (
 from .evaluate import EvalConfig, compare_surfaces, write_eval_report
 from .gp import KernelHyper, build_cov_factor
 from .lgcp import LgcpConfig, fit_cohort
-from .nmf import NmfConfig, fit_nmf, write_factor_model
+from .nmf import LOSSES, NmfConfig, fit_nmf, write_factor_model
 from .synth import SynthConfig
-
-LOSSES = ("kl", "frobenius")
-
-# Fixed exit codes, one per stage, for scripted callers.
-STAGE_CODES = {
-    "ingest": 10,
-    "lgcp": 11,
-    "factorize": 12,
-    "efficiency": 13,
-    "evaluate": 14,
-}
-
-
-class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: BaseException):
-        self.stage = stage
-        self.code = STAGE_CODES.get(stage, 1)
-        self.cause = cause
-        super().__init__(f"stage '{stage}' failed (code {self.code}): {cause}")
 
 
 @dataclass
@@ -85,7 +66,7 @@ class PipelineConfig:
     lgcp_thinning: int = 2
     k: int = 4
     k_list: tuple = (1, 2, 4, 6, 8, 12)
-    loss: str = "kl"
+    loss: str = LOSSES[0]
     restarts: int = 5
     nmf_tol: float = 1e-6
     nmf_iters: int = 2000
@@ -117,19 +98,6 @@ class PipelineConfig:
             message = f"k_list must be a list of integers >= 1, got {ks!r}"
             raise ValueError(message) from exc
         self.k_list = tuple(ks)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "PipelineConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(mapping) - names
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**mapping)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["k_list"] = list(self.k_list)
-        return d
 
     # Component-config views; each constructor revalidates its block.
     def grid(self) -> CourtGrid:
@@ -196,7 +164,10 @@ def parse_config_file(path) -> dict:
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     mapping = parse_config_file(path) if path else {}
     mapping.update(overrides or {})
-    return PipelineConfig.from_mapping(mapping)
+    unknown = set(mapping) - {f.name for f in dataclasses.fields(PipelineConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return PipelineConfig(**mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +247,7 @@ class StageRunner:
                 f"[{name}] checksum mismatch on {', '.join(stale)}; re-running"
             )
             reason = "checksum mismatch"
-        try:
-            fn()
-        except Exception as exc:
-            raise StageError(name, exc) from exc
+        fn()
         for r, p in zip(rel, outputs):
             self.sums[p] = recorded[r] = _sha256(p)
         self.state["stages"][name] = key
@@ -384,56 +352,70 @@ TRUTH = "truth"
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage: the files it reads and writes (artifact names, formatted
-    with the config fields, or ``SHOTS``/``TRUTH``), the names of the
-    config attributes or view methods its body receives, and the body."""
+    """One stage: its exit code, the files it reads and writes (artifact
+    names, formatted with the config fields, or ``SHOTS``/``TRUTH``), the
+    function from the config to the values its body receives after the
+    paths, and the body."""
 
     name: str
+    code: int
     inputs: tuple
     outputs: tuple
-    views: tuple
+    views: Callable[[PipelineConfig], list]
     body: Callable
+
+
+class StageError(RuntimeError):
+    def __init__(self, stage: Stage, cause: BaseException):
+        self.code = stage.code
+        super().__init__(f"stage '{stage.name}' failed (code {stage.code}): {cause}")
 
 
 FACTORS = tuple(
     f"factors_{{loss}}_k{{k}}_{part}" for part in ("W.csv", "B.csv", "manifest.txt")
 )
 
+# Each stage's exit code is fixed, for scripted callers.
 STAGES = (
     Stage(
         "ingest",
+        10,
         (SHOTS,),
         ("shots_train.csv", "shots_test.csv", "counts_train.csv", "counts_test.csv"),
-        ("grid", "fraction", "min_attempts", "seed"),
+        lambda c: [c.grid(), c.fraction, c.min_attempts, c.seed],
         stage_ingest,
     ),
     Stage(
         "lgcp",
+        11,
         ("counts_train.csv",),
         ("surfaces.csv", "surfaces_meta.txt"),
-        ("lgcp_config",),
+        lambda c: [c.lgcp_config()],
         stage_lgcp,
     ),
     Stage(
         "factorize",
+        12,
         ("surfaces.csv",),
         FACTORS,
-        ("k", "loss", "nmf_config"),
+        lambda c: [c.k, c.loss, c.nmf_config()],
         stage_factorize,
     ),
     Stage(
         "efficiency",
+        13,
         FACTORS + ("shots_train.csv",),
         ("efficiency_beta.csv", "efficiency_global.csv", "efficiency_surfaces.csv"),
-        ("grid", "efficiency_config"),
+        lambda c: [c.grid(), c.efficiency_config()],
         stage_efficiency,
     ),
     Stage(
         "evaluate",
+        14,
         ("counts_train.csv", "counts_test.csv", "surfaces.csv", "surfaces_meta.txt")
         + (TRUTH,),
         ("eval_report.csv", "eval_per_player.csv", "eval_report.txt"),
-        ("k_list", "eval_config"),
+        lambda c: [c.k_list, c.eval_config()],
         stage_evaluate,
     ),
 )
@@ -444,7 +426,7 @@ def stage_plan(target: str | None = None) -> list:
     outputs it reads directly or indirectly."""
     if target is None:
         return list(STAGES)
-    if target not in STAGE_CODES:
+    if target not in [st.name for st in STAGES]:
         raise ValueError(f"unknown stage {target!r}")
     wanted, plan = set(), []
     for stage in reversed(STAGES):
@@ -455,15 +437,16 @@ def stage_plan(target: str | None = None) -> list:
 
 
 def run_pipeline(
-    config: PipelineConfig, out_dir=None, log=print, stage: str | None = None
-) -> dict:
-    """Run the stages of ``stage_plan(stage)``; returns each one's output
-    paths by stage name."""
-    out_dir = out_dir or config.out
+    config: PipelineConfig, out_dir, log=print, stage: str | None = None
+) -> list:
+    """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
+    the config in ``pipeline_manifest.txt``; returns the output paths of
+    the last stage.  A failure inside a stage, its views included, raises
+    ``StageError`` with that stage's code and leaves the manifest as it
+    was."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
-    write_json(os.path.join(out_dir, "pipeline_manifest.txt"), config.to_dict())
     data = {
         SHOTS: config.shots,
         TRUTH: os.path.join(os.path.dirname(config.shots), "truth_B.csv"),
@@ -473,17 +456,16 @@ def run_pipeline(
         return data.get(name) or os.path.join(out_dir, name.format(**vars(config)))
 
     runner = StageRunner(out_dir, log=log)
-    written = {}
     for st in stage_plan(stage):
         inputs = {name.format(**vars(config)): path(name) for name in st.inputs}
         outputs = [path(name) for name in st.outputs]
         try:
-            views = [getattr(config, view) for view in st.views]
-            views = [view() if callable(view) else view for view in views]
-        except ValueError as exc:
-            raise StageError(st.name, exc) from exc
-        runner.key(st.name, views, inputs)
-        body = functools.partial(st.body, list(inputs.values()), outputs, *views)
-        runner.run(st.name, outputs, body)
-        written[st.name] = outputs
-    return written
+            views = st.views(config)
+            runner.key(st.name, views, inputs)
+            body = functools.partial(st.body, list(inputs.values()), outputs, *views)
+            runner.run(st.name, outputs, body)
+        except Exception as exc:
+            raise StageError(st, exc) from exc
+    manifest = os.path.join(out_dir, "pipeline_manifest.txt")
+    write_json(manifest, dataclasses.asdict(config))
+    return outputs

@@ -15,13 +15,14 @@ from shotfactor import cli
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
 from shotfactor.court import read_count_csv, read_labeled_csv
 from shotfactor.pipeline import (
-    STAGE_CODES,
     STAGES,
     PipelineConfig,
     load_config,
     parse_config_file,
     run_pipeline,
 )
+
+STAGE_CODES = {stage.name: stage.code for stage in STAGES}
 
 CONFIG_TEMPLATE = """\
 tile_x = 2.5
@@ -131,7 +132,7 @@ class TestConfigParsing:
     def test_unknown_keys_rejected(self):
         """Misspelled config keys fail fast."""
         with pytest.raises(ValueError, match="unknown config keys"):
-            PipelineConfig.from_mapping({"sed": 1})
+            load_config(None, {"sed": 1})
 
     @pytest.mark.parametrize("value", ["4", '[1, "x"]', '"12"', "[]"])
     def test_bad_k_list_exits_one_naming_the_key(self, tmp_path, capsys, value):
@@ -308,14 +309,6 @@ class TestSynthCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
-    def test_out_env_variable_used_when_no_flag(self, tmp_path, monkeypatch):
-        """SHOTFACTOR_OUT overrides the config's output directory."""
-        config_path = _write_config(str(tmp_path))
-        target = tmp_path / "env_out"
-        monkeypatch.setenv("SHOTFACTOR_OUT", str(target))
-        assert main(["synth", "--config", config_path]) == 0
-        assert (target / "shots.csv").exists()
-
 
 class TestStageCommands:
     def test_ingest_builds_count_matrix(self, workspace, tmp_path):
@@ -441,9 +434,11 @@ class TestStageCommands:
         self, workspace, finished, tmp_path, capsys, command, key, value, stage, message
     ):
         """A config value of the wrong type fails the stage that reads it
-        with that stage's exit code and one error line, not a traceback."""
+        with that stage's exit code and one error line, not a traceback,
+        and leaves the finished run's manifest as it was."""
         out = tmp_path / "out"
         shutil.copytree(finished, out)
+        manifest = (out / "pipeline_manifest.txt").read_bytes()
         shots = str(workspace["root"] / "data" / "shots.csv")
         config_path = _write_config(str(tmp_path), shots=shots, **{key: value})
         capsys.readouterr()
@@ -452,6 +447,7 @@ class TestStageCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: stage '{stage}' failed") and err.count("\n") == 1
         assert f"{message} " in err
+        assert (out / "pipeline_manifest.txt").read_bytes() == manifest
 
     def test_off_court_shot_fails_ingest_with_location(self, tmp_path, capsys):
         """A shot off the court fails ingest, naming the file and line."""
@@ -510,6 +506,16 @@ class TestPipelineCommand:
         }
         named |= {"pipeline_manifest.txt", "pipeline_state.txt"}
         assert sorted(os.listdir(tmp_path)) == sorted(named)
+
+    def test_stage_exit_codes_are_fixed(self):
+        """Scripted callers tell a failed stage by its exit code."""
+        assert STAGE_CODES == {
+            "ingest": 10,
+            "lgcp": 11,
+            "factorize": 12,
+            "efficiency": 13,
+            "evaluate": 14,
+        }
 
     def test_rerun_skips_completed_stages(self, workspace, tmp_path, capsys):
         """Intact artifacts short-circuit their stages on rerun."""

@@ -62,6 +62,13 @@ class TestCourtGrid:
         assert (g.nx, g.ny, g.n_tiles) == (7, 10, 70)
         assert g.tile_dims == (5.0, 5.0)
 
+    @pytest.mark.parametrize("tile_size", [(1.0, 2.0, 3.0), (2.0,), [2.5, 2.0]])
+    def test_tile_size_other_than_number_or_pair_rejected(self, tile_size):
+        """A tile size is one number or a tuple of two; anything else fails
+        at construction, naming the field."""
+        with pytest.raises(ValueError, match="tile_size must be"):
+            CourtGrid(tile_size=tile_size)
+
     def test_non_divisible_tile_rounds_up(self):
         """Tile counts use ceiling division so edge tiles absorb the remainder."""
         g = CourtGrid(tile_size=3.0)

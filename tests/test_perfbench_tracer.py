@@ -1,7 +1,8 @@
 """Smoke test of the benchmark's layer tracer on a tiny cohort, so that a
 change which removes a function or field the tracer reads (``lgcp.ess_step``,
-``EfficiencyFit.config``, the backend kernel names) fails here rather than
-at the next benchmark run.  The test only reads ``perfbench/``."""
+``EfficiencyFit.config``, the backend kernel names) or runs a stage around
+``StageRunner.run`` fails here rather than at the next benchmark run.  The
+test only reads ``perfbench/``."""
 
 import json
 import os
@@ -52,5 +53,8 @@ def test_traced_pipeline_reports_sampler_work(tmp_path):
     traced = run(str(ROOT / "perfbench" / "tracer.py"), "trace.json", "pipeline")
     assert traced.returncode == 0, traced.stderr
     metrics = json.loads((tmp_path / "trace.json").read_text())["metrics"]
-    for name in ("lgcp.ess_moves", "lgcp.loglik_evals", "efficiency.sweeps_per_s"):
+    stages = ("ingest", "lgcp", "factorize", "efficiency", "evaluate")
+    names = ["lgcp.ess_moves", "lgcp.loglik_evals", "efficiency.sweeps_per_s"]
+    names += [f"pipeline.stage_s.{stage}" for stage in stages]
+    for name in names:
         assert metrics[name] > 0, name
