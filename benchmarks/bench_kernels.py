@@ -1,11 +1,13 @@
 """Time the compute kernels, the prior draw and the NMF loss and fit.
 
 Each kernel is fed inputs sized like the desk-scale problem (60 players,
-350 tiles, 4 components, about 30k shots) and timed best-of-N.  The GP
-prior draw (``gp.sample_field``) is timed on the 350-tile and 1,750-tile
-grids.  The KL loss (``nmf.kl_loss``) is timed on an all-positive target of
-60 x 350 and 12 x 1,750 tiles, and one KL ``fit_nmf`` at 60 x 350, K = 8,
-with 2 restarts of 200 steps, is timed best of a few.
+350 tiles, 4 components, about 30k shots) and timed best-of-N; the
+make-probability kernel gets the efficiency stage's 61 rows (the global
+surface and 60 players) in its one call.  The GP prior draw
+(``gp.sample_field``) is timed on the 350-tile and 1,750-tile grids.  The
+KL loss (``nmf.kl_loss``) is timed on an all-positive target of 60 x 350
+and 12 x 1,750 tiles, and one KL ``fit_nmf`` at 60 x 350, K = 8, with 2
+restarts of 200 steps, is timed best of a few.
 
 Run from the repository root:
 
@@ -57,6 +59,9 @@ def build_cases(seed):
     cum = np.cumsum(table, axis=1)
     types = rng.integers(0, k, size=n_shots)
     made = (rng.random(n_shots) < 0.45).astype(np.float64)
+    # efficiency_surface puts the global row on top of the player rows
+    surface_weights = np.vstack([weights.mean(axis=0), weights])
+    surface_logits = np.vstack([logits.mean(axis=0), logits])
 
     # the prior builds one matrix per court axis, at most 50 tiles long
     cx = rng.uniform(0.0, 50.0, size=50)
@@ -69,7 +74,7 @@ def build_cases(seed):
         ("draw_type_indices", (cum, totals, uniforms)),
         ("sq_exp_matrix", (cx, cy, 1.3, 8.0)),
         ("aggregate_outcomes", (players, types, made, n_players, k)),
-        ("mixture_probability_surface", (weights[0], bases, logits[0])),
+        ("mixture_probability_surface", (surface_weights, bases, surface_logits)),
     ]
 
 

@@ -34,15 +34,13 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def poisson_field_loglik(counts, field, bias, area, log_norm=None):
+def poisson_field_loglik(counts, field, bias, area, log_norm):
     """Poisson log-likelihood of per-tile counts under rates exp(field + bias).
 
-    Returns sum_v [c_v*log(area*rate_v) - area*rate_v - log(c_v!)].
-    ``log_norm`` is sum_v log(c_v!), computed here when None; a caller that
-    evaluates the same counts many times passes it in.
+    Returns sum_v [c_v*log(area*rate_v) - area*rate_v - log(c_v!)], where
+    ``log_norm`` is sum_v log(c_v!) (``log_factorial(counts).sum()``), which
+    a caller that evaluates the same counts many times sums once.
     """
-    if log_norm is None:
-        log_norm = log_factorial(counts).sum()
     log_rate = field + bias
     return float(
         np.dot(counts, math.log(area) + log_rate)
@@ -98,12 +96,19 @@ def aggregate_outcomes(players, types, made, n_players, n_types):
     return makes.reshape(n_players, n_types), attempts.reshape(n_players, n_types)
 
 
-def mixture_probability_surface(weights_row, bases, logits_row):
-    """Per-tile success probability sum_k sigma(logit_k) p(k|tile).
+def mixture_probability_surface(weights, bases, logits):
+    """Per-tile success probability sum_k sigma(logits[r, k]) p(k | r, tile)
+    of each row r of weights and logits (R x K); returns R x V.
 
-    Tiles where every component has zero density get the uniform mixture.
+    The products come from one ``type_weights`` call over every (row, tile)
+    pair, so a tile where every component has zero density gets the uniform
+    mixture.  Each row's numerator is the vector-matrix product
+    sigma(logits[r]) @ products[r] and its denominator the column sum of
+    the K x V products, taken in type order.
     """
+    r, k = weights.shape
     v = bases.shape[1]
-    probs, _ = type_weights(weights_row[None, :], bases, np.zeros(v, int), np.arange(v))
-    num = np.ascontiguousarray(probs.T)  # K x V: column sums add in type order
-    return (expit(logits_row) @ num) / num.sum(axis=0)
+    rows = np.repeat(np.arange(r), v)
+    probs, _ = type_weights(weights, bases, rows, np.tile(np.arange(v), r))
+    num = np.ascontiguousarray(probs.reshape(r, v, k).transpose(0, 2, 1))
+    return (expit(logits)[:, None, :] @ num)[:, 0, :] / num.sum(axis=1)

@@ -133,8 +133,12 @@ def predict_fg_pct(
     tile: int, weights_row: np.ndarray, bases: np.ndarray, logits_row: np.ndarray
 ) -> float:
     """Make probability at a tile: type posterior mixed over per-type rates."""
-    probs = shot_type_posterior(tile, weights_row, bases)
-    return float(probs @ backend.expit(np.asarray(logits_row, dtype=np.float64)))
+    surface = backend.mixture_probability_surface(
+        np.asarray(weights_row, dtype=np.float64)[None, :],
+        np.asarray(bases, dtype=np.float64)[:, [tile]],
+        np.asarray(logits_row, dtype=np.float64)[None, :],
+    )
+    return float(surface[0, 0])
 
 
 def sample_shot_types(cum: np.ndarray, totals: np.ndarray, rng) -> np.ndarray:
@@ -280,24 +284,17 @@ def fit_efficiency(
 
 
 def efficiency_surface(
-    loadings: AdjustedLoadings, model: EfficiencyModel, player: int | None = None
+    loadings: AdjustedLoadings, model: EfficiencyModel
 ) -> np.ndarray:
-    """Per-tile make probability for one player, or the global surface.
+    """Per-tile make probability of the global surface (row 0) and of each
+    player (row i + 1), from one kernel call.
 
     The global surface replaces the player logits with the global means and
     weights the type posterior by the cohort-average loadings.
     """
-    if player is None:
-        weights = loadings.weights.mean(axis=0)
-        logits = model.beta0
-    else:
-        weights = loadings.weights[player]
-        logits = model.beta[player]
-    return backend.mixture_probability_surface(
-        np.ascontiguousarray(weights),
-        np.ascontiguousarray(loadings.bases),
-        np.ascontiguousarray(logits, dtype=np.float64),
-    )
+    weights = np.vstack([loadings.weights.mean(axis=0), loadings.weights])
+    logits = np.vstack([model.beta0, model.beta])
+    return backend.mixture_probability_surface(weights, loadings.bases, logits)
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,15 @@ def fit_lgcp(
     factor: CovFactor,
     grid: CourtGrid,
     config: LgcpConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Posterior-mean per-tile rates for one player's tile counts.
 
     The bias is log(total count / court area), so a player without shots
     is rejected.  Runs burn-in, then keeps every ``thinning``-th state and
     averages the intensities exp(field + bias) over kept states (mean of
-    intensities, not the exponential of the mean field).
+    intensities, not the exponential of the mean field).  ``rng`` is the
+    player's stream, which ``fit_cohort`` derives from its row.
     """
     counts = np.asarray(counts)
     if counts.shape != (grid.n_tiles,):
@@ -98,8 +99,6 @@ def fit_lgcp(
     if total == 0:
         raise ValueError("player has zero shots")
     bias = math.log(total / (grid.n_tiles * grid.tile_area))
-    if rng is None:
-        rng = np.random.default_rng([config.seed])
     area = grid.tile_area
     counts_f = np.ascontiguousarray(counts, dtype=np.float64)
     # log(c!) does not depend on the field: sum it once per player
@@ -137,7 +136,7 @@ def fit_cohort(
     for i in range(n):
         # stream tag 2: cohort chains stay disjoint from other stages
         rng = np.random.default_rng([config.seed, 2, i])
-        rates = fit_lgcp(counts[i], factor, grid, config, rng=rng)
+        rates = fit_lgcp(counts[i], factor, grid, config, rng)
         volumes[i] = rates.sum() * grid.tile_area
         surfaces[i] = rates / volumes[i]
     return surfaces, volumes

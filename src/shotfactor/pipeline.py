@@ -298,9 +298,8 @@ def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
 
 
 def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyConfig):
-    """Fit the outcome model on the factors and the training shots.  The
-    factor manifest is not read; it is an input so that it keys this stage."""
-    w_path, b_path, _, shots_path = inputs
+    """Fit the outcome model on the factors and the training shots."""
+    w_path, b_path, shots_path = inputs
     beta_path, global_path, surfaces_path = outputs
     players, weights, _ = read_labeled_csv(w_path)
     _, bases, _ = read_labeled_csv(b_path)
@@ -313,12 +312,8 @@ def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyCon
     tiles = tile_indices(shots.x, shots.y, grid)
     fit = fit_efficiency(idx, tiles, shots.made, loadings, efficiency)
     write_efficiency_csv(beta_path, global_path, fit.model, players)
-    ids = ["global"] + list(players)
-    rows = np.vstack(
-        [efficiency_surface(loadings, fit.model)]
-        + [efficiency_surface(loadings, fit.model, i) for i in range(len(players))]
-    )
-    write_labeled_csv(surfaces_path, ids, rows, grid)
+    rows = efficiency_surface(loadings, fit.model)
+    write_labeled_csv(surfaces_path, ["global"] + list(players), rows, grid)
 
 
 def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
@@ -371,9 +366,8 @@ class StageError(RuntimeError):
         super().__init__(f"stage '{stage.name}' failed (code {stage.code}): {cause}")
 
 
-FACTORS = tuple(
-    f"factors_{{loss}}_k{{k}}_{part}" for part in ("W.csv", "B.csv", "manifest.txt")
-)
+# The weights and bases that factorize writes and efficiency reads
+FACTORS = ("factors_{loss}_k{k}_W.csv", "factors_{loss}_k{k}_B.csv")
 
 # Each stage's exit code is fixed, for scripted callers.
 STAGES = (
@@ -397,7 +391,7 @@ STAGES = (
         "factorize",
         12,
         ("surfaces.csv",),
-        FACTORS,
+        FACTORS + ("factors_{loss}_k{k}_manifest.txt",),
         lambda c: [c.k, c.loss, c.nmf_config()],
         stage_factorize,
     ),
@@ -440,10 +434,10 @@ def run_pipeline(
     config: PipelineConfig, out_dir, log=print, stage: str | None = None
 ) -> list:
     """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
-    the config in ``pipeline_manifest.txt``; returns the output paths of
-    the last stage.  A failure inside a stage, its views included, raises
-    ``StageError`` with that stage's code and leaves the manifest as it
-    was."""
+    the config, less its ``out``, in ``pipeline_manifest.txt``; returns the
+    output paths of the last stage.  A failure inside a stage, its views
+    included, raises ``StageError`` with that stage's code and leaves the
+    manifest as it was."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
@@ -466,6 +460,6 @@ def run_pipeline(
             runner.run(st.name, outputs, body)
         except Exception as exc:
             raise StageError(st, exc) from exc
-    manifest = os.path.join(out_dir, "pipeline_manifest.txt")
-    write_json(manifest, dataclasses.asdict(config))
+    recorded = {k: v for k, v in dataclasses.asdict(config).items() if k != "out"}
+    write_json(os.path.join(out_dir, "pipeline_manifest.txt"), recorded)
     return outputs

@@ -48,13 +48,14 @@ class TestPoissonFieldLoglik:
         for _ in range(20):
             counts, field, bias, area = _random_loglik_case(rng)
             expected = poisson.logpmf(counts, area * np.exp(field + bias)).sum()
-            got = bk.poisson_field_loglik(counts, field, bias, area)
+            log_norm = bk.log_factorial(counts).sum()
+            got = bk.poisson_field_loglik(counts, field, bias, area, log_norm)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_single_tile_literal(self):
         """c=2, rate*area=2 gives log(2^2 e^-2 / 2!) = log 2 - 2."""
         got = bk.poisson_field_loglik(
-            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0
+            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0, math.log(2.0)
         )
         np.testing.assert_allclose(got, -1.3068528194400546, rtol=1e-14)
 
@@ -200,40 +201,43 @@ class TestAggregateOutcomes:
 class TestMixtureProbabilitySurface:
     def test_matches_manual_mixture(self):
         rng = np.random.default_rng(43)
-        weights, bases = _random_mixture(rng, n=1)
-        logits = rng.normal(0, 1, size=4)
-        got = bk.mixture_probability_surface(weights[0], bases, logits)
-        for t in range(bases.shape[1]):
-            raw = weights[0] * bases[:, t]
-            expected = float(expit(logits) @ (raw / raw.sum()))
-            np.testing.assert_allclose(got[t], expected, rtol=1e-10)
+        weights, bases = _random_mixture(rng, n=3)
+        logits = rng.normal(0, 1, size=(3, 4))
+        got = bk.mixture_probability_surface(weights, bases, logits)
+        assert got.shape == (3, bases.shape[1])
+        for r in range(3):
+            for t in range(bases.shape[1]):
+                raw = weights[r] * bases[:, t]
+                expected = float(expit(logits[r]) @ (raw / raw.sum()))
+                np.testing.assert_allclose(got[r, t], expected, rtol=1e-10)
 
     def test_dead_tile_uses_uniform_mixture(self):
-        weights = np.array([1.0, 1.0])
+        weights = np.array([[1.0, 1.0], [3.0, 0.5]])
         bases = np.array([[1.0, 0.0], [2.0, 0.0]])
-        logits = np.array([2.0, -1.0])
+        logits = np.array([[2.0, -1.0], [0.5, 4.0]])
         got = bk.mixture_probability_surface(weights, bases, logits)
-        np.testing.assert_allclose(got[1], expit(logits).mean(), rtol=1e-12)
+        np.testing.assert_allclose(got[:, 1], expit(logits).mean(axis=1), rtol=1e-12)
 
-    def test_nine_types_match_column_sum_formula_bit_for_bit(self):
-        """At K = 9 the surface is expit(l) @ num / num.sum(axis=0) on the
-        K x V products, bit for bit: a row-wise sum adds in another order."""
+    @pytest.mark.parametrize("k", [1, 4, 9, 12])
+    def test_rows_match_column_sum_formula_bit_for_bit(self, k):
+        """Every row is expit(l) @ num / num.sum(axis=0) on its own K x V
+        products, bit for bit, dead tile included: the batched kernel adds
+        over types in the same order as a one-row evaluation."""
         rng = np.random.default_rng(53)
-        weights, bases = _random_mixture(rng, n=1, k=9, v=60)
+        weights, bases = _random_mixture(rng, n=7, k=k, v=60)
         bases[:, 7] = 0.0
-        logits = rng.normal(0, 1, size=9)
-        num = weights[0][:, None] * bases
-        denom = num.sum(axis=0)
-        num[:, 7] = 1.0
-        denom[7] = 9.0
-        expected = (bk.expit(logits) @ num) / denom
-        got = bk.mixture_probability_surface(weights[0], bases, logits)
-        np.testing.assert_array_equal(got, expected)
+        logits = rng.normal(0, 1, size=(7, k))
+        got = bk.mixture_probability_surface(weights, bases, logits)
+        for w, l, row in zip(weights, logits, got):
+            num = w[:, None] * bases
+            num[:, 7] = 1.0
+            expected = (bk.expit(l) @ num) / num.sum(axis=0)
+            np.testing.assert_array_equal(row, expected)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
-            weights, bases = _random_mixture(rng, n=1)
-            logits = rng.normal(0, 3, size=4)
-            got = bk.mixture_probability_surface(weights[0], bases, logits)
+            weights, bases = _random_mixture(rng)
+            logits = rng.normal(0, 3, size=weights.shape)
+            got = bk.mixture_probability_surface(weights, bases, logits)
             assert np.all(got > 0) and np.all(got < 1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shotfactor import cli
+from shotfactor import backend, cli
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
 from shotfactor.court import read_count_csv, read_labeled_csv
 from shotfactor.pipeline import (
@@ -322,6 +322,35 @@ class TestStageCommands:
         assert cm.counts.sum() > 0
         assert read_count_csv(tmp_path / "counts_test.csv").players == cm.players
         assert not (tmp_path / "counts.csv").exists()
+
+    def test_manifest_leaves_out_the_output_directory(self, workspace, tmp_path):
+        """The manifest records the run's config without ``out``: --out
+        picks a directory the config's ``out`` does not name."""
+        argv = ["ingest", "--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "pipeline_manifest.txt").read_text())
+        assert "out" not in manifest and manifest["seed"] == 3
+
+    def test_efficiency_fit_makes_one_surface_call(
+        self, workspace, finished, tmp_path, monkeypatch
+    ):
+        """One efficiency fit builds every row of efficiency_surfaces.csv,
+        the global surface and each player's, with one kernel call."""
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        (out / "efficiency_surfaces.csv").unlink()
+        kernel, calls = backend.mixture_probability_surface, []
+
+        def spy(weights, bases, logits):
+            calls.append(weights.shape)
+            return kernel(weights, bases, logits)
+
+        monkeypatch.setattr(backend, "mixture_probability_surface", spy)
+        argv = ["fit-efficiency", "--config", workspace["config"], "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == [(1 + 6, 2)]
+        name = "efficiency_surfaces.csv"
+        assert (out / name).read_bytes() == (finished / name).read_bytes()
 
     def test_fit_lgcp_factorize_efficiency_render(self, workspace, tmp_path, capsys):
         """The standalone stage commands chain through shared artifacts."""

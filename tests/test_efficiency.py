@@ -587,7 +587,7 @@ class TestDeadTile:
             shot_type_posterior(5, loadings.weights[0], bases), [0.5, 0.5]
         )
         model = EfficiencyModel(beta0=[1.0, -2.0], sigma2=[1, 1], beta=[[2.0, -1.0]])
-        surface = efficiency_surface(loadings, model, 0)
+        surface = efficiency_surface(loadings, model)[1]
         np.testing.assert_allclose(surface[5], expit([2.0, -1.0]).mean(), rtol=1e-15)
 
         seen, built = [], []
@@ -626,7 +626,7 @@ class TestEfficiencySurface:
         model = EfficiencyModel(
             beta0=np.zeros(2), sigma2=np.ones(2), beta=np.zeros((3, 2))
         )
-        surface = efficiency_surface(loadings, model)
+        surface = efficiency_surface(loadings, model)[0]
         np.testing.assert_allclose(surface, np.full(20, 0.5), atol=1e-12)
 
     def test_player_matching_global_reproduces_global_surface(self):
@@ -637,11 +637,9 @@ class TestEfficiencySurface:
         beta0 = np.array([0.7, -0.4])
         beta = np.tile(beta0, (4, 1))
         model = EfficiencyModel(beta0=beta0, sigma2=np.ones(2), beta=beta)
-        np.testing.assert_allclose(
-            efficiency_surface(loadings, model, player=2),
-            efficiency_surface(loadings, model),
-            atol=1e-12,
-        )
+        surfaces = efficiency_surface(loadings, model)
+        assert surfaces.shape == (5, 20)
+        np.testing.assert_allclose(surfaces[3], surfaces[0], atol=1e-12)  # player 2
 
     def test_point_mass_tile_returns_type_rate(self):
         """Where one basis owns the tile the surface equals its rate."""
@@ -651,7 +649,7 @@ class TestEfficiencySurface:
         model = EfficiencyModel(
             beta0=np.zeros(2), sigma2=np.ones(2), beta=beta
         )
-        surface = efficiency_surface(loadings, model, player=0)
+        surface = efficiency_surface(loadings, model)[1]  # player 0
         np.testing.assert_allclose(surface[:10], expit(1.5), atol=1e-12)
         np.testing.assert_allclose(surface[10:], expit(-0.8), atol=1e-12)
 
@@ -669,7 +667,5 @@ class TestEfficiencySurface:
                 sigma2=np.ones(3),
                 beta=rng.normal(size=(5, 3)),
             )
-            surface = efficiency_surface(
-                loadings, model, player=int(rng.integers(5))
-            )
-            assert np.all(surface > 0.0) and np.all(surface < 1.0)
+            surfaces = efficiency_surface(loadings, model)
+            assert np.all(surfaces > 0.0) and np.all(surfaces < 1.0)

@@ -22,7 +22,7 @@ class TestPoissonLoglik:
     def test_single_tile_literal(self):
         """count 2 at mean 2: log(2^2 e^-2 / 2!) = log 2 - 2."""
         got = backend.poisson_field_loglik(
-            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0
+            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0, math.log(2.0)
         )
         np.testing.assert_allclose(got, -1.3068528194400546, rtol=1e-14)
 
@@ -33,7 +33,8 @@ class TestPoissonLoglik:
             z = rng.normal(0, 1, size=30)
             bias, area = float(rng.normal()), float(rng.uniform(0.5, 4))
             expected = poisson.logpmf(counts, area * np.exp(z + bias)).sum()
-            got = backend.poisson_field_loglik(counts, z, bias, area)
+            log_norm = backend.log_factorial(counts).sum()
+            got = backend.poisson_field_loglik(counts, z, bias, area, log_norm)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_count_parameterization_agrees(self):
@@ -42,12 +43,13 @@ class TestPoissonLoglik:
         rng = np.random.default_rng(5)
         counts = rng.poisson(3.0, size=25)
         z = rng.normal(0, 1, size=25)
-        a = backend.poisson_field_loglik(counts, z, 0.7, 2.5)
+        log_norm = backend.log_factorial(counts).sum()
+        a = backend.poisson_field_loglik(counts, z, 0.7, 2.5, log_norm)
         (b,) = heldout_loglik(counts[None], np.exp(z + 0.7)[None], [1.0], 0.5, 2.5)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_zero_counts_leave_rate_mass_only(self):
-        got = backend.poisson_field_loglik(np.zeros(3), np.zeros(3), 0.0, 2.0)
+        got = backend.poisson_field_loglik(np.zeros(3), np.zeros(3), 0.0, 2.0, 0.0)
         np.testing.assert_allclose(got, -6.0, rtol=1e-14)
 
 
@@ -178,9 +180,8 @@ class TestFitLgcp:
         rates = 60.0 * np.exp(z)
         counts = rng.poisson(rates * SMALL.tile_area)
         factor = build_cov_factor(SMALL, KernelHyper(variance=1.0, length_scale=1.5))
-        surface = fit_lgcp(
-            counts, factor, SMALL, LgcpConfig(burn_in=300, n_samples=400, seed=1)
-        )
+        cfg = LgcpConfig(burn_in=300, n_samples=400)
+        surface = fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(1))
         assert surface.shape == (SMALL.n_tiles,)
         corr = np.corrcoef(surface, rates)[0, 1]
         assert corr > 0.9
@@ -191,54 +192,59 @@ class TestFitLgcp:
         rng = np.random.default_rng(37)
         counts = rng.poisson(40.0, size=SMALL.n_tiles)
         factor = build_cov_factor(SMALL, KernelHyper(length_scale=2.0))
-        surface = fit_lgcp(
-            counts, factor, SMALL, LgcpConfig(burn_in=200, n_samples=300, seed=2)
-        )
+        cfg = LgcpConfig(burn_in=200, n_samples=300)
+        surface = fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(2))
         assert surface.sum() * SMALL.tile_area == pytest.approx(counts.sum(), rel=0.1)
 
     def test_zero_total_rejected(self):
         """The bias is log(shots / area), so a row without shots is an error."""
         factor = build_cov_factor(SMALL, KernelHyper())
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="zero shots"):
-            fit_lgcp(np.zeros(SMALL.n_tiles), factor, SMALL, LgcpConfig())
+            fit_lgcp(np.zeros(SMALL.n_tiles), factor, SMALL, LgcpConfig(), rng)
 
     def test_length_mismatch_rejected(self):
         factor = build_cov_factor(SMALL, KernelHyper())
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="length"):
-            fit_lgcp(np.ones(7), factor, SMALL, LgcpConfig())
+            fit_lgcp(np.ones(7), factor, SMALL, LgcpConfig(), rng)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(41)
         counts = rng.poisson(5.0, size=SMALL.n_tiles)
         factor = build_cov_factor(SMALL, KernelHyper())
-        cfg = LgcpConfig(burn_in=50, n_samples=50, seed=9)
-        a = fit_lgcp(counts, factor, SMALL, cfg)
-        b = fit_lgcp(counts, factor, SMALL, cfg)
+        cfg = LgcpConfig(burn_in=50, n_samples=50)
+        a = fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(9))
+        b = fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
-        c = fit_lgcp(counts, factor, SMALL, LgcpConfig(burn_in=50, n_samples=50, seed=10))
+        c = fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(10))
         assert not np.array_equal(a, c)
 
     def test_hoisted_loglik_equals_poisson_loglik(self, monkeypatch):
         """Every likelihood fit_lgcp evaluates, with log(c!) summed once per
-        player, equals the kernel's own full evaluation of the same field."""
+        player, equals the kernel given log(c!) summed afresh for the same
+        field."""
         rng = np.random.default_rng(47)
         counts = rng.poisson(5.0, size=SMALL.n_tiles)
         factor = build_cov_factor(SMALL, KernelHyper())
         kernel = backend.poisson_field_loglik
         seen = []
 
-        def spy(counts_f, field, bias, area, log_norm=None):
+        def spy(counts_f, field, bias, area, log_norm):
             value = kernel(counts_f, field, bias, area, log_norm)
             seen.append((field.copy(), bias, area, log_norm, value))
             return value
 
         monkeypatch.setattr(backend, "poisson_field_loglik", spy)
-        fit_lgcp(counts, factor, SMALL, LgcpConfig(burn_in=5, n_samples=5, seed=3))
+        cfg = LgcpConfig(burn_in=5, n_samples=5)
+        fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(3))
         monkeypatch.undo()
         assert len(seen) > 10
+        counts_f = counts.astype(np.float64)
+        full_norm = backend.log_factorial(counts).sum()
         for field, bias, area, log_norm, value in seen:
-            assert log_norm is not None
-            assert value == kernel(counts.astype(np.float64), field, bias, area)
+            assert log_norm == full_norm
+            assert value == kernel(counts_f, field, bias, area, full_norm)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -259,9 +265,8 @@ class TestFitCohort:
         surfaces, volumes = fit_cohort(counts, factor, SMALL, cfg)
         assert surfaces.shape == (3, SMALL.n_tiles)
         for i in range(3):
-            lone = fit_lgcp(
-                counts[i], factor, SMALL, cfg, rng=np.random.default_rng([5, 2, i])
-            )
+            stream = np.random.default_rng([5, 2, i])
+            lone = fit_lgcp(counts[i], factor, SMALL, cfg, stream)
             vol = lone.sum() * SMALL.tile_area
             np.testing.assert_array_equal(surfaces[i], lone / vol)
             assert volumes[i] == vol
