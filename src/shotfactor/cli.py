@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Every subcommand shares --config/--seed/--out; flags beat config-file keys,
-and --out beats the config's output directory.
+Every subcommand shares --config/--seed/--out, and every one that runs
+stages also --shots/--k/--loss/--restarts; flags beat config-file keys, and
+--out beats the config's output directory.
 
 ``pipeline`` runs every stage; each stage subcommand (``ingest``,
 ``fit-lgcp``, ``factorize``, ``fit-efficiency``, ``evaluate``) runs its
@@ -124,11 +125,23 @@ def cmd_render(args) -> int:
 
 def cmd_run(args) -> int:
     """Run the pipeline, or one stage after the stages it reads from."""
-    overrides = {n: getattr(args, n, None) for n in ("shots", "k", "loss", "restarts")}
-    config, out_dir = _resolve(args, **overrides)
+    config, out_dir = _resolve(
+        args, shots=args.shots, k=args.k, loss=args.loss, restarts=args.restarts
+    )
     written = run_pipeline(config, out_dir, stage=args.stage)
     print(f"{args.command} complete: {', '.join(written)}")
     return 0
+
+
+# (command, stage, help) of each subcommand that runs stages; None runs all
+RUN_COMMANDS = (
+    ("ingest", "ingest", "split the shots and count them per tile"),
+    ("fit-lgcp", "lgcp", "fit per-player intensity surfaces"),
+    ("factorize", "factorize", "factorize the intensity surfaces"),
+    ("fit-efficiency", "efficiency", "fit the outcome model"),
+    ("evaluate", "evaluate", "held-out model comparison"),
+    ("pipeline", None, "run every stage end to end"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,34 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset with truth")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="split the shots and count them per tile")
-    p.add_argument("--shots", help="input shot CSV (default from config)")
-    p.set_defaults(func=cmd_run, stage="ingest")
-
-    p = sub.add_parser("fit-lgcp", help="fit per-player intensity surfaces")
-    p.set_defaults(func=cmd_run, stage="lgcp")
-
-    p = sub.add_parser("factorize", help="factorize the intensity surfaces")
-    p.add_argument("--k", type=int, help="number of bases")
-    p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--restarts", type=int)
-    p.set_defaults(func=cmd_run, stage="factorize")
-
-    p = sub.add_parser("fit-efficiency", help="fit the outcome model")
-    p.add_argument("--shots", help="input shot CSV (default from config)")
-    p.set_defaults(func=cmd_run, stage="efficiency")
-
-    p = sub.add_parser("evaluate", help="held-out model comparison")
-    p.add_argument("--shots", help="input shot CSV (default from config)")
-    p.set_defaults(func=cmd_run, stage="evaluate")
+    for command, stage, help_text in RUN_COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--shots", help="input shot CSV (default from config)")
+        p.add_argument("--k", type=int, help="number of bases")
+        p.add_argument("--loss", choices=LOSSES)
+        p.add_argument("--restarts", type=int)
+        p.set_defaults(func=cmd_run, stage=stage)
 
     p = sub.add_parser("render", help="surfaces CSV to graymap images")
     p.add_argument("--surfaces", required=True, help="shared-format surface CSV")
     p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--shots", help="input shot CSV (default from config)")
-    p.set_defaults(func=cmd_run, stage=None)
 
     for sp in sub.choices.values():
         _add_common(sp)

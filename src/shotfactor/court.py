@@ -331,9 +331,10 @@ def read_labeled_csv(
     """Read a file written by write_labeled_csv: (ids, matrix, grid or None).
 
     Every row must hold the grid's tile count of values (without a header,
-    the first row's count); an empty row, a value that does not parse, or
-    (with ``integer``) a negative or non-integer value raises ValueError
-    naming the file and line, and a file without rows names the file.
+    the first row's count); an empty row, a value that does not parse, a
+    non-finite value, or (with ``integer``) a negative or non-integer value
+    raises ValueError naming the file and line, and a file without rows
+    names the file.
     """
     parse = int if integer else float
     ids, rows = [], []
@@ -363,6 +364,8 @@ def read_labeled_csv(
                 raise ValueError(f"{path}:{line}: {exc}") from exc
             if integer and min(rows[-1], default=0) < 0:
                 raise ValueError(f"{path}:{line}: negative count {min(rows[-1])}")
+            if not integer and not all(map(math.isfinite, rows[-1])):
+                raise ValueError(f"{path}:{line}: non-finite value")
             ids.append(row[0])
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -23,6 +23,9 @@ EPS = 1e-12
 
 MODEL_NAMES = ("lgcp", "nmf_kl", "nmf_frobenius", "nmf_counts", "pca")
 
+# The loss of each NMF model fitted to the LGCP surfaces
+SURFACE_LOSSES = {"nmf_kl": "kl", "nmf_frobenius": "frobenius"}
+
 
 @dataclass
 class EvalConfig:
@@ -116,18 +119,15 @@ def basis_recovery_score(b_hat: np.ndarray, b_star: np.ndarray) -> RecoveryScore
     hn = np.linalg.norm(b_hat, axis=1)
     sn = np.linalg.norm(b_star, axis=1)
     cosine = (b_hat @ b_star.T) / np.outer(np.maximum(hn, EPS), np.maximum(sn, EPS))
+    # np.argmax takes the first maximum in row-major order: ties go to the
+    # lowest estimated index, then to the lowest true one.
     pairs, sims = [], []
-    free_hat = set(range(b_hat.shape[0]))
-    free_star = set(range(b_star.shape[0]))
-    while free_star:
-        best = max(
-            ((i, j) for i in free_hat for j in free_star),
-            key=lambda ij: cosine[ij],
-        )
-        pairs.append(best)
-        sims.append(cosine[best])
-        free_hat.discard(best[0])
-        free_star.discard(best[1])
+    for _ in range(b_star.shape[0]):
+        i, j = np.unravel_index(np.argmax(cosine), cosine.shape)
+        pairs.append((int(i), int(j)))
+        sims.append(cosine[i, j])
+        cosine[i, :] = -np.inf
+        cosine[:, j] = -np.inf
     return RecoveryScore(pairs=pairs, similarities=np.array(sims))
 
 
@@ -147,44 +147,36 @@ def compare_surfaces(
     config: EvalConfig,
     truth_bases: np.ndarray | None = None,
 ) -> EvalReport:
-    """Score all models given pre-fitted per-player unit surfaces."""
+    """Score every requested model at every rank in ``k_list``: each reduces
+    to unit rows, volumes and its fitted bases (None for ``lgcp`` and
+    ``pca``), which are matched against the truth at K >= K*."""
     grid = cm_train.grid
     players = cm_train.players
     area = grid.tile_area
+    k_star = np.inf if truth_bases is None else truth_bases.shape[0]
 
-    def score(rows: np.ndarray, vols: np.ndarray) -> np.ndarray:
-        return heldout_loglik(cm_test.counts, rows, vols, config.fraction, area)
+    def reduce(model: str, k: int):
+        if model == "lgcp":
+            return unit_surfaces, volumes, None
+        if model == "pca":
+            k_pca = min(k, len(players) - 1, grid.n_tiles)
+            rows, _ = _unit_rows(pca_reconstruct(fit_pca(unit_surfaces, k_pca)), area)
+            return rows, volumes, None
+        if model == "nmf_counts":
+            fit = fit_nmf(cm_train.counts + COUNT_JITTER, k, "kl", config.nmf)
+            return *_unit_rows((fit.weights @ fit.bases) / area, area), fit.bases
+        fit = fit_nmf(unit_surfaces, k, SURFACE_LOSSES[model], config.nmf)
+        return _unit_rows(fit.weights @ fit.bases, area)[0], volumes, fit.bases
 
     entries: list[EvalEntry] = []
     recovery: dict = {}
-
-    lgcp_scores = score(unit_surfaces, volumes) if "lgcp" in config.models else None
-
     for k in k_list:
-        if lgcp_scores is not None:
-            entries.append(EvalEntry("lgcp", k, lgcp_scores))
-        for model, loss in (("nmf_kl", "kl"), ("nmf_frobenius", "frobenius")):
-            if model not in config.models:
-                continue
-            fit = fit_nmf(unit_surfaces, k, loss=loss, config=config.nmf)
-            rows, _ = _unit_rows(fit.weights @ fit.bases, area)
-            entries.append(EvalEntry(model, k, score(rows, volumes)))
-            if truth_bases is not None and k >= truth_bases.shape[0]:
-                recovery[(model, k)] = basis_recovery_score(fit.bases, truth_bases)
-        if "nmf_counts" in config.models:
-            target = cm_train.counts + COUNT_JITTER
-            fit = fit_nmf(target, k, loss="kl", config=config.nmf)
-            rows, vols = _unit_rows((fit.weights @ fit.bases) / area, area)
-            entries.append(EvalEntry("nmf_counts", k, score(rows, vols)))
-            if truth_bases is not None and k >= truth_bases.shape[0]:
-                recovery[("nmf_counts", k)] = basis_recovery_score(
-                    fit.bases, truth_bases
-                )
-        if "pca" in config.models:
-            k_pca = min(k, len(players) - 1, grid.n_tiles)
-            pca = fit_pca(unit_surfaces, k_pca)
-            rows, _ = _unit_rows(pca_reconstruct(pca), area)
-            entries.append(EvalEntry("pca", k, score(rows, volumes)))
+        for model in (m for m in MODEL_NAMES if m in config.models):
+            rows, vols, bases = reduce(model, k)
+            scores = heldout_loglik(cm_test.counts, rows, vols, config.fraction, area)
+            entries.append(EvalEntry(model, k, scores))
+            if bases is not None and k >= k_star:
+                recovery[(model, k)] = basis_recovery_score(bases, truth_bases)
 
     return EvalReport(
         entries=entries,

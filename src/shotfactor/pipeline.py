@@ -436,8 +436,9 @@ def run_pipeline(
     """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
     the config, less its ``out``, in ``pipeline_manifest.txt``; returns the
     output paths of the last stage.  A failure inside a stage, its views
-    included, raises ``StageError`` with that stage's code and leaves the
-    manifest as it was."""
+    included, raises ``StageError`` with that stage's code, and a config
+    value JSON cannot hold (NaN, infinity) raises ValueError; both leave
+    the manifest as it was."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
@@ -461,5 +462,10 @@ def run_pipeline(
         except Exception as exc:
             raise StageError(st, exc) from exc
     recorded = {k: v for k, v in dataclasses.asdict(config).items() if k != "out"}
+    for key, value in recorded.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise ValueError(f"{key} must be a finite number, got {value!r}") from None
     write_json(os.path.join(out_dir, "pipeline_manifest.txt"), recorded)
     return outputs

@@ -405,6 +405,24 @@ class TestStageCommands:
             f"{p}.pgm" for p in players
         )
 
+    def test_every_stage_command_takes_the_override_flags(
+        self, workspace, finished, tmp_path, capsys
+    ):
+        """Each stage command takes --shots, --k, --loss and --restarts:
+        fit-lgcp reads --shots over a config naming no file, and
+        fit-efficiency --k 1 fits on factors_kl_k1_* over the config's 2."""
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        config_path = _write_config(str(tmp_path), shots=str(tmp_path / "none.csv"))
+        shots = str(workspace["root"] / "data" / "shots.csv")
+        argv = ["--config", config_path, "--out", str(out), "--shots", shots]
+        assert main(["fit-lgcp", *argv]) == 0
+        capsys.readouterr()
+        assert main(["fit-efficiency", *argv, "--k", "1"]) == 0
+        assert "[factorize] done (no record)" in capsys.readouterr().out
+        _, bases, _ = read_labeled_csv(out / "factors_kl_k1_B.csv")
+        assert bases.shape[0] == 1
+
     def test_evaluate_matches_pipeline_report(
         self, workspace, finished, tmp_path, capsys
     ):
@@ -457,6 +475,8 @@ class TestStageCommands:
             ("pipeline", "length_scale", "true", "lgcp", "length_scale must be"),
             ("pipeline", "nmf_tol", "Infinity", "factorize", "tol must be"),
             ("pipeline", "min_attempts", "true", "ingest", "min_attempts must be"),
+            ("ingest", "nmf_tol", "Infinity", None, "nmf_tol must be a finite"),
+            ("ingest", "alpha", "Infinity", None, "alpha must be a finite"),
         ],
     )
     def test_wrong_type_config_fails_its_stage_in_one_line(
@@ -464,7 +484,9 @@ class TestStageCommands:
     ):
         """A config value of the wrong type fails the stage that reads it
         with that stage's exit code and one error line, not a traceback,
-        and leaves the finished run's manifest as it was."""
+        and leaves the finished run's manifest as it was.  A non-finite
+        value that no planned stage reads (stage None) fails the same way
+        with exit code 1 before the manifest is written."""
         out = tmp_path / "out"
         shutil.copytree(finished, out)
         manifest = (out / "pipeline_manifest.txt").read_bytes()
@@ -472,9 +494,10 @@ class TestStageCommands:
         config_path = _write_config(str(tmp_path), shots=shots, **{key: value})
         capsys.readouterr()
         rc = main([command, "--config", config_path, "--out", str(out)])
-        assert rc == STAGE_CODES[stage]
+        assert rc == (STAGE_CODES[stage] if stage else 1)
         err = capsys.readouterr().err
-        assert err.startswith(f"error: stage '{stage}' failed") and err.count("\n") == 1
+        start = f"error: stage '{stage}' failed" if stage else "error: "
+        assert err.startswith(start) and err.count("\n") == 1
         assert f"{message} " in err
         assert (out / "pipeline_manifest.txt").read_bytes() == manifest
 
@@ -587,6 +610,23 @@ class TestPipelineCommand:
         config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
         assert main(["pipeline", "--config", config_path]) == STAGE_CODES["evaluate"]
         assert f"truth_B.csv:{added}:" in capsys.readouterr().err
+
+    def test_non_finite_truth_fails_evaluate_with_location(
+        self, finished, tmp_path, capsys
+    ):
+        """A NaN in truth_B.csv fails the evaluate stage with a message
+        naming the file and the line, not a report of nan recoveries."""
+        data = tmp_path / "data"
+        shutil.copytree(finished.parent / "data", data)
+        truth = data / "truth_B.csv"
+        header, first, *rest = truth.read_text().splitlines(keepends=True)
+        name, _, values = first.partition(",")
+        first = f"{name},nan,{values.partition(',')[2]}"
+        truth.write_text("".join([header, first, *rest]))
+        shutil.copytree(finished, tmp_path / "artifacts")
+        config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
+        assert main(["evaluate", "--config", config_path]) == STAGE_CODES["evaluate"]
+        assert "truth_B.csv:2: non-finite value" in capsys.readouterr().err
 
     def _rerun(self, finished, tmp_path, capsys, **overrides):
         """Rerun a copy of a finished directory under an edited config;

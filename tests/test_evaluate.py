@@ -14,6 +14,8 @@ from shotfactor.court import (
     split_holdout,
 )
 from shotfactor.evaluate import (
+    EPS,
+    MODEL_NAMES,
     EvalConfig,
     EvalEntry,
     EvalReport,
@@ -24,7 +26,7 @@ from shotfactor.evaluate import (
 )
 from shotfactor.gp import KernelHyper, build_cov_factor
 from shotfactor.lgcp import LgcpConfig, fit_cohort
-from shotfactor.nmf import NmfConfig
+from shotfactor.nmf import COUNT_JITTER, NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 from shotfactor.synth import make_planted_bases
 
 DESK = CourtGrid(tile_size=(2.5, 2.0))
@@ -137,6 +139,14 @@ class TestBasisRecoveryScore:
         with pytest.raises(ValueError, match="disagree"):
             basis_recovery_score(b[:, :10], b)
 
+    def test_tied_estimates_match_the_lower_index(self):
+        """Two identical estimated bases tie on every true one; the lower
+        estimated index takes the match."""
+        rng = np.random.default_rng(42)
+        b = rng.uniform(0.0, 1.0, size=(2, 20))
+        score = basis_recovery_score(np.vstack([b[1], b[0], b[0]]), b[:1])
+        assert score.pairs == [(1, 0)]
+
 
 def _two_basis_shots(rng, n_players, per_player):
     """Shots from two separated bumps on a small court."""
@@ -209,6 +219,56 @@ class TestRunComparison:
         assert ("nmf_kl", 1) not in report.recovery
         score = report.recovery[("nmf_kl", 2)]
         assert 0.0 < score.mean <= 1.0
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_each_model_scores_its_reduced_surfaces(self, model):
+        """Every model's per-player scores equal heldout_loglik on its unit
+        rows and volumes, built here by hand: PCA at K = N clamps to N - 1,
+        nmf_counts fits the counts plus COUNT_JITTER, so raw zeros never
+        reach the KL loss, and only the NMF models score basis recovery,
+        at K >= K* only."""
+        grid = CourtGrid(width=4.0, length=5.0, tile_size=1.0)
+        area = grid.tile_area
+        rng = np.random.default_rng(43)
+        players = [f"p{i}" for i in range(6)]
+        train = CountMatrix(rng.poisson(1.0, size=(6, grid.n_tiles)), players, grid)
+        test = CountMatrix(rng.poisson(0.2, size=(6, grid.n_tiles)), players, grid)
+        assert (train.counts == 0).any()
+        surfaces = rng.uniform(0.1, 1.0, size=(6, grid.n_tiles))
+        unit = surfaces / (surfaces.sum(axis=1, keepdims=True) * area)
+        volumes = rng.uniform(50.0, 150.0, size=6)
+        truth = rng.uniform(0.0, 1.0, size=(2, grid.n_tiles))
+        config = EvalConfig(fraction=0.2, nmf=NmfConfig(seed=7), models=(model,))
+        report = compare_surfaces(train, test, unit, volumes, [1, 6], config, truth)
+
+        def expected(k):
+            if model == "lgcp":
+                return heldout_loglik(test.counts, unit, volumes, 0.2, area), None
+            vols, bases = volumes, None
+            if model == "pca":
+                rows = np.maximum(pca_reconstruct(fit_pca(unit, min(k, 5))), EPS)
+            elif model == "nmf_counts":
+                fit = fit_nmf(train.counts + COUNT_JITTER, k, "kl", config.nmf)
+                assert np.isfinite(fit.final_loss)
+                rows = np.maximum((fit.weights @ fit.bases) / area, EPS)
+                vols, bases = rows.sum(axis=1) * area, fit.bases
+            else:
+                loss = {"nmf_kl": "kl", "nmf_frobenius": "frobenius"}[model]
+                fit = fit_nmf(unit, k, loss, config.nmf)
+                rows, bases = np.maximum(fit.weights @ fit.bases, EPS), fit.bases
+            rows = rows / (rows.sum(axis=1, keepdims=True) * area)
+            return heldout_loglik(test.counts, rows, vols, 0.2, area), bases
+
+        scores, bases = expected(6)
+        np.testing.assert_array_equal(report.entry(model, 6).per_player, scores)
+        np.testing.assert_array_equal(report.entry(model, 1).per_player, expected(1)[0])
+        if model.startswith("nmf"):
+            assert list(report.recovery) == [(model, 6)]
+            recovered = report.recovery[(model, 6)].similarities
+            want = basis_recovery_score(bases, truth).similarities
+            np.testing.assert_array_equal(recovered, want)
+        else:
+            assert report.recovery == {}
 
     def test_missing_entry_raises(self, report_and_truth):
         """Looking up a model/K pair that was not fitted is an error."""

@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 from scipy.stats import entropy
 
-from shotfactor.court import CountMatrix, CourtGrid, read_labeled_csv
-from shotfactor.evaluate import EPS, EvalConfig, compare_surfaces, heldout_loglik
+from shotfactor.court import read_labeled_csv
 from shotfactor.nmf import (
     CHECK_EVERY,
-    COUNT_JITTER,
     EPS_FLOOR,
     NmfConfig,
     fit_nmf,
@@ -337,32 +335,6 @@ class TestFitNmf:
         single = fit_nmf(lam, 4, "kl", NmfConfig(restarts=1, seed=2))
         multi = fit_nmf(lam, 4, "kl", NmfConfig(restarts=5, seed=2))
         assert multi.final_loss <= single.final_loss
-
-    def test_count_model_fits_the_jittered_counts(self):
-        """The nmf_counts entry scores a KL fit on the counts plus
-        COUNT_JITTER: raw zeros never reach the KL loss."""
-        grid = CourtGrid(width=4.0, length=5.0, tile_size=1.0)
-        rng = np.random.default_rng(43)
-        players = [f"p{i}" for i in range(6)]
-        train = CountMatrix(rng.poisson(1.0, size=(6, grid.n_tiles)), players, grid)
-        test = CountMatrix(rng.poisson(0.2, size=(6, grid.n_tiles)), players, grid)
-        assert (train.counts == 0).any()
-        config = EvalConfig(
-            fraction=0.2, nmf=NmfConfig(seed=7), models=("nmf_counts",)
-        )
-        unit = np.full((6, grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
-        report = compare_surfaces(train, test, unit, np.ones(6), [2], config)
-
-        fit = fit_nmf(train.counts + COUNT_JITTER, 2, "kl", config.nmf)
-        assert np.isfinite(fit.final_loss)
-        area = grid.tile_area
-        surface = np.maximum((fit.weights @ fit.bases) / area, EPS)
-        volumes = surface.sum(axis=1) * area
-        expected = heldout_loglik(
-            test.counts, surface / volumes[:, None], volumes, 0.2, area
-        )
-        got = report.entry("nmf_counts", 2).per_player
-        np.testing.assert_array_equal(got, expected)
 
     def test_config_bounds_name_the_field(self):
         """Restarts below 1, negative or fractional iteration counts, and a
