@@ -5,6 +5,5 @@ and elliptical slice sampling, stacked and factorized into non-negative
 bases, and topped with a hierarchical per-basis efficiency model.
 """
 
-# The one place the version is set: pyproject.toml reads it, and the
-# pipeline keys every stage on it.
+# The one place the version is set, for packaging: pyproject.toml reads it.
 __version__ = "0.4.0"

@@ -2,7 +2,7 @@
 functions the models need (log-factorial and logistic).
 
 Each kernel has one pure-numpy implementation, vectorized over tiles, shots
-or players.  ``benchmarks/bench_kernels.py`` times them.
+or players.  ``perfbench/tracer.py`` times them inside pipeline runs.
 """
 
 from __future__ import annotations

@@ -331,10 +331,10 @@ def read_labeled_csv(
     """Read a file written by write_labeled_csv: (ids, matrix, grid or None).
 
     Every row must hold the grid's tile count of values (without a header,
-    the first row's count); an empty row, a value that does not parse, a
-    non-finite value, or (with ``integer``) a negative or non-integer value
-    raises ValueError naming the file and line, and a file without rows
-    names the file.
+    a one-field first line starting with ``#``, the first row's count); an
+    empty row, a value that does not parse, a non-finite value, or (with
+    ``integer``) a negative or non-integer value raises ValueError naming
+    the file and line, and a file without rows names the file.
     """
     parse = int if integer else float
     ids, rows = [], []
@@ -343,7 +343,7 @@ def read_labeled_csv(
         reader = csv.reader(f)
         for row in reader:
             line = reader.line_num
-            if line == 1 and row and row[0].startswith("#"):
+            if line == 1 and len(row) == 1 and row[0].startswith("#"):
                 try:
                     grid = _parse_grid_header(row[0])
                 except ValueError as exc:

@@ -1,13 +1,12 @@
 """End-to-end orchestration: ingest, LGCP fits, factorization, efficiency,
 evaluation, all persisted and resumable.
 
-The stages form one table, ``STAGES``.  Every stage writes its outputs to
-the artifact directory and records their checksums, and is keyed on the
-package version, the config views it receives and the checksums of its
-input files.  A rerun skips a stage whose key is unchanged and whose
-outputs are intact; a corrupted intermediate triggers a warning and a
-re-run of its stage.  Nothing here consults the clock, so a given
-(config, seed) pair always produces the same bytes.
+The stages form one table, ``STAGES``.  Every stage writes its outputs and
+their checksums, keyed on the package source digest, its config views and
+its input checksums.  A rerun skips a stage whose key is unchanged and whose
+outputs are intact, so a code edit reruns every stage once; a corrupted
+intermediate reruns its stage with a warning.  Nothing here consults the
+clock, so a given (config, seed) pair always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .court import (
     CourtGrid,
     build_count_matrix,
@@ -183,6 +181,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the SHA-256 of each ``*.py`` file of the package, by name."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    names = sorted(n for n in os.listdir(here) if n.endswith(".py"))
+    parts = [f"{n}={_sha256(os.path.join(here, n))}" for n in names]
+    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+
+
 class StageRunner:
     """Runs named stages, skipping one whose outputs are intact and whose
     key is the one it last ran with.  ``key`` sets a stage's key before
@@ -219,9 +226,9 @@ class StageRunner:
         return self.sums[path]
 
     def key(self, name: str, views: list, inputs: dict) -> None:
-        """Key stage ``name`` on the package version, the repr of its config
-        views and the checksum of each input file (input name -> path)."""
-        parts = [__version__, repr(views)]
+        """Key stage ``name`` on the package source digest, the repr of its
+        config views and the checksum of each input file (input name -> path)."""
+        parts = [_source_digest(), repr(views)]
         parts += [f"{n}={self.checksum(p)}" for n, p in inputs.items()]
         self.keys[name] = hashlib.sha256("\0".join(parts).encode()).hexdigest()
 

@@ -53,15 +53,19 @@ def read_heatmap(path) -> np.ndarray:
 
 
 def render_surface_csv(csv_path, out_dir) -> list:
-    """Render every row of a shared-format surface CSV to <out>/<id>.pgm."""
+    """Render every row of a shared-format surface CSV to <out>/<id>.pgm,
+    with ``_`` for unsafe characters; ids sharing a file name raise ValueError."""
     ids, matrix, grid = read_labeled_csv(csv_path)
     if grid is None:
         raise ValueError(f"{csv_path}:1: missing grid header")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, row in zip(ids, matrix):
+    owner = {}
+    for name in ids:
         safe = "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
-        path = os.path.join(out_dir, f"{safe}.pgm")
+        if safe in owner:
+            raise ValueError(f"ids {owner[safe]!r} and {name!r} both map to {safe}.pgm")
+        owner[safe] = name
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, f"{safe}.pgm") for safe in owner]
+    for path, row in zip(paths, matrix):
         render_heatmap(row, grid, path)
-        paths.append(path)
     return paths

@@ -13,7 +13,7 @@ import pytest
 
 from shotfactor import backend, cli
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
-from shotfactor.court import read_count_csv, read_labeled_csv
+from shotfactor.court import read_count_csv, read_labeled_csv, write_labeled_csv
 from shotfactor.pipeline import (
     STAGES,
     PipelineConfig,
@@ -23,6 +23,7 @@ from shotfactor.pipeline import (
 )
 
 STAGE_CODES = {stage.name: stage.code for stage in STAGES}
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CONFIG_TEMPLATE = """\
 tile_x = 2.5
@@ -92,14 +93,13 @@ def _stage_outputs(out_dir):
 
 def test_cli_import_loads_no_scipy():
     """The runtime needs numpy only: importing the CLI loads no scipy module."""
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, shotfactor.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,
@@ -405,6 +405,19 @@ class TestStageCommands:
             f"{p}.pgm" for p in players
         )
 
+    def test_render_of_ids_with_one_file_name_exits_1(self, tmp_path, capsys):
+        """render names both ids and writes nothing when two ids would share
+        an image file."""
+        grid = PipelineConfig().grid()
+        surfaces = tmp_path / "surfaces.csv"
+        rows = np.ones((2, grid.n_tiles))
+        write_labeled_csv(surfaces, ["a/b", "a_b"], rows, grid)
+        argv = ["render", "--surfaces", str(surfaces), "--out", str(tmp_path / "img")]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "rendered" not in out and "'a/b' and 'a_b'" in err
+        assert not (tmp_path / "img").exists()
+
     def test_every_stage_command_takes_the_override_flags(
         self, workspace, finished, tmp_path, capsys
     ):
@@ -700,6 +713,53 @@ class TestPipelineCommand:
         assert out.count("done (no record)") == 5
         assert _stage_outputs(out_dir) == before
         assert (out_dir / "pipeline_state.txt").read_text() == state_path.read_text()
+
+    def test_source_edit_reruns_every_stage(self, finished, tmp_path):
+        """Each stage key holds a digest of the package source: a copy of the
+        package keys a finished directory as the original does, a comment
+        appended to one module reruns all five stages to the same bytes,
+        and the next run skips them again."""
+        package = tmp_path / "lib" / "shotfactor"
+        shutil.copytree(
+            SRC / "shotfactor", package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        out = tmp_path / "artifacts"
+        shutil.copytree(finished, out)
+        before = _stage_outputs(out)
+        config_path = _write_config(
+            str(tmp_path), shots=str(finished.parent / "data" / "shots.csv")
+        )
+        argv = [sys.executable, "-m", "shotfactor", "pipeline", "--config", config_path]
+
+        def run():
+            result = subprocess.run(
+                argv,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(tmp_path / "lib")},
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout
+
+        assert run().count("up to date, skipping") == 5
+        with open(package / "nmf.py", "a") as f:
+            f.write("# edited\n")
+        assert run().count("done (key changed)") == 5
+        assert _stage_outputs(out) == before
+        assert run().count("up to date, skipping") == 5
+
+    def test_hash_player_id_runs_every_stage(self, finished, tmp_path):
+        """A player id starting with "#" that sorts first is a data row of
+        the header-less factor files, not a grid header."""
+        data = tmp_path / "data"
+        shutil.copytree(finished.parent / "data", data)
+        shots = data / "shots.csv"
+        shots.write_text(re.sub(r"(?m)^p00,", "#00,", shots.read_text()))
+        config_path = _write_config(str(tmp_path), shots=str(shots))
+        assert main(["pipeline", "--config", config_path]) == 0
+        weights = tmp_path / "artifacts" / "factors_kl_k2_W.csv"
+        assert read_labeled_csv(weights)[0][0] == "#00"
 
     @pytest.mark.parametrize(
         "bad_state",

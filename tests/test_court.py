@@ -412,6 +412,15 @@ class TestLabeledCsvReader:
         assert ids == ["a", "b"] and grid is None
         np.testing.assert_array_equal(matrix, SURFACE_ROWS)
 
+    def test_round_trip_of_hash_id_without_header(self, tmp_path):
+        """A first id starting with "#" is data: only a one-field first line
+        is a grid header."""
+        path = tmp_path / "w.csv"
+        write_labeled_csv(path, ["#00", "# grid"], SURFACE_ROWS)
+        ids, matrix, grid = read_labeled_csv(path)
+        assert ids == ["#00", "# grid"] and grid is None
+        np.testing.assert_array_equal(matrix, SURFACE_ROWS)
+
     def test_short_count_row_names_file_and_line(self, tmp_path):
         path = self._counts_file(tmp_path)
         self._append(path, "c,4\r\n")
