@@ -34,30 +34,28 @@ def expit(x):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-def poisson_field_loglik(counts, field, bias, area, log_norm):
-    """Poisson log-likelihood of per-tile counts under rates exp(field + bias).
+def poisson_field_loglik(field, scale, const):
+    """Non-linear part of a Poisson log-likelihood over tiles: const -
+    scale * sum_v exp(field_v).
 
-    Returns sum_v [c_v*log(area*rate_v) - area*rate_v - log(c_v!)], where
-    ``log_norm`` is sum_v log(c_v!) (``log_factorial(counts).sum()``), which
-    a caller that evaluates the same counts many times sums once.
+    For counts c at rates exp(field + bias) on tiles of area ``area``, the
+    full log-likelihood is this value plus c . field, with scale =
+    area * e^bias and const = sum(c) * (log(area) + bias) - sum_v log(c_v!).
+    The linear term is left to the caller: on a slice ellipse it is two dot
+    products per move (see ``lgcp.ess_update``).
     """
-    log_rate = field + bias
-    return float(
-        np.dot(counts, math.log(area) + log_rate)
-        - area * np.exp(log_rate).sum()
-        - log_norm
-    )
+    return float(const - scale * np.exp(field).sum())
 
 
-def bernoulli_logits_loglik(makes, attempts, logits):
-    """Binomial log-likelihood of make/attempt counts under per-cell logits."""
-    # log sigma(x) = -log(1+e^-x); log(1-sigma(x)) = -log(1+e^x)
-    return float(
-        -(
-            makes * np.logaddexp(0.0, -logits)
-            + (attempts - makes) * np.logaddexp(0.0, logits)
-        ).sum()
-    )
+def bernoulli_logits_loglik(attempts, logits):
+    """Non-linear part of a binomial log-likelihood over cells:
+    -sum attempts * log(1 + e^logits).
+
+    The full log-likelihood of ``makes`` out of ``attempts`` is this value
+    plus makes . logits, since log sigma(x) = x - log(1 + e^x) and
+    log(1 - sigma(x)) = -log(1 + e^x).
+    """
+    return float(-np.dot(attempts, np.logaddexp(0.0, logits)))
 
 
 def type_weights(weights, bases, rows, tiles):
@@ -76,9 +74,14 @@ def type_weights(weights, bases, rows, tiles):
 
 def draw_type_indices(cum, totals, uniforms):
     """Inverse-CDF type draw per shot from cumsum(type_weights) and its sums."""
-    k = cum.shape[1]
-    draws = (uniforms[:, None] * totals[:, None] > cum).sum(axis=1)
-    return np.minimum(draws, k - 1).astype(np.int64)
+    x = uniforms * totals
+    draws = np.zeros(len(x), dtype=np.int64)
+    # each row of cum is non-decreasing, so counting its first K - 1
+    # columns below x caps the index at K - 1 even where rounding puts x
+    # at or above the row total
+    for col in range(cum.shape[1] - 1):
+        draws += x > cum[:, col]
+    return draws
 
 
 def sq_exp_matrix(cx, cy, variance, length_scale):

@@ -255,9 +255,10 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
     """Read shots written by write_shot_csv.
 
     After the ``player,x,y,made`` header (in any column order) every row
-    holds four fields, numeric coordinates and a 0/1 outcome, and, when a
-    grid is given, a point on the court.  A row that breaks this raises
-    ValueError naming the file and line; a file without rows names the file.
+    holds four fields, a non-empty player id, numeric coordinates and a 0/1
+    outcome, and, when a grid is given, a point on the court.  A row that
+    breaks this raises ValueError naming the file and line; a file without
+    rows names the file.
     """
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -273,6 +274,8 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
             try:
                 if len(row) != len(SHOT_HEADER):
                     raise ValueError(f"{len(row)} fields, expected {len(SHOT_HEADER)}")
+                if not row[ip]:
+                    raise ValueError("empty player id")
                 xs.append(float(row[ix]))
                 ys.append(float(row[iy]))
                 made.append(int(row[im]))

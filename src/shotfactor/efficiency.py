@@ -184,18 +184,19 @@ def gibbs_beta_step(
 
     The stacked vector is jointly zero-mean Gaussian (globals are centered at
     zero, players at their global), so a single elliptical slice move covers
-    the whole hierarchy.  Returns the new globals, logits, and log-likelihood.
+    the whole hierarchy.  The log-likelihood's linear term makes . logits
+    goes to the slice move, whose coefficient vector is zero on the globals.
+    Returns the new globals, logits, and log-likelihood.
     """
     n, k = beta.shape
-    makes64 = np.ascontiguousarray(makes, dtype=np.float64).ravel()
     attempts64 = np.ascontiguousarray(attempts, dtype=np.float64).ravel()
+    linear = np.concatenate([np.zeros(k), np.ravel(makes)])
 
     def loglik(stacked):
-        logits = np.ascontiguousarray(stacked[k:])
-        return backend.bernoulli_logits_loglik(makes64, attempts64, logits)
+        return backend.bernoulli_logits_loglik(attempts64, stacked[k:])
 
     aux = _prior_draw(n, k, sigma2, rng)
-    stacked, cur = ess_update(_stack(beta0, beta), aux, loglik, rng)
+    stacked, cur = ess_update(_stack(beta0, beta), aux, loglik, rng, linear=linear)
     beta0, beta = _unstack(stacked, n, k)
     return beta0, beta, cur
 
@@ -229,7 +230,8 @@ def fit_efficiency(
     rng = np.random.default_rng([config.seed, 4])
 
     probs, totals = backend.type_weights(loadings.weights, loadings.bases, players, tiles)
-    cum = np.cumsum(probs, axis=1)
+    # column-major: draw_type_indices reads the table one column at a time
+    cum = np.asfortranarray(np.cumsum(probs, axis=1))
 
     # Data-informed start: per-cell rates shrunk toward the pooled rate by a
     # few pseudo-attempts put every coordinate of the first state inside its

@@ -39,23 +39,33 @@ def ess_update(
     loglik: Callable[[np.ndarray], float],
     rng: np.random.Generator,
     cur_loglik: float | None = None,
+    linear: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """One elliptical slice move given an auxiliary prior draw ``aux``.
 
     Proposes along the ellipse state*cos(t) + aux*sin(t), shrinking the angle
     bracket [t - 2pi, t] toward 0 until a proposal clears the log threshold.
     Non-finite proposal log-likelihoods count as rejections.
+
+    With ``linear`` = c the log-likelihood is c . x + loglik(x): on the
+    ellipse c . x = cos(t) c . state + sin(t) c . aux, so the move takes
+    the two dot products once and each proposal evaluates only ``loglik``.
+    ``cur_loglik`` and the returned value are the full log-likelihood.
     """
+    a = b = 0.0
+    if linear is not None:
+        a, b = float(np.dot(linear, state)), float(np.dot(linear, aux))
     if cur_loglik is None:
-        cur_loglik = loglik(state)
+        cur_loglik = a + loglik(state)
     if not math.isfinite(cur_loglik):
         raise ValueError("log-likelihood must be finite at the current state")
     threshold = cur_loglik + math.log(rng.random())
     theta = 2.0 * math.pi * rng.random()
     lo, hi = theta - 2.0 * math.pi, theta
     for _ in range(_MAX_SHRINK):
-        proposal = state * math.cos(theta) + aux * math.sin(theta)
-        lp = loglik(proposal)
+        cos, sin = math.cos(theta), math.sin(theta)
+        proposal = state * cos + aux * sin
+        lp = cos * a + sin * b + loglik(proposal)
         if math.isfinite(lp) and lp > threshold:
             return proposal, lp
         if theta < 0.0:
@@ -72,9 +82,11 @@ def ess_step(
     loglik: Callable[[np.ndarray], float],
     rng: np.random.Generator,
     cur_loglik: float | None = None,
+    linear: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Elliptical slice move whose auxiliary draw comes from the field prior."""
-    return ess_update(state, sample_field(factor, rng), loglik, rng, cur_loglik)
+    aux = sample_field(factor, rng)
+    return ess_update(state, aux, loglik, rng, cur_loglik, linear)
 
 
 def fit_lgcp(
@@ -101,20 +113,23 @@ def fit_lgcp(
     bias = math.log(total / (grid.n_tiles * grid.tile_area))
     area = grid.tile_area
     counts_f = np.ascontiguousarray(counts, dtype=np.float64)
-    # log(c!) does not depend on the field: sum it once per player
-    log_norm = backend.log_factorial(counts).sum()
+    # The log-likelihood is counts . z + const - scale * sum(exp(z)); the
+    # slice move takes the linear term, the kernel the rest.  log(c!) does
+    # not depend on the field: sum it once per player.
+    scale = area * math.exp(bias)
+    const = total * (math.log(area) + bias) - backend.log_factorial(counts).sum()
 
     def loglik(z):
-        return backend.poisson_field_loglik(counts_f, z, bias, area, log_norm)
+        return backend.poisson_field_loglik(z, scale, const)
 
     z = np.zeros(grid.n_tiles)
-    ll = loglik(z)
+    ll = loglik(z)  # counts . z is 0 at the start
     for _ in range(config.burn_in):
-        z, ll = ess_step(z, factor, loglik, rng, ll)
+        z, ll = ess_step(z, factor, loglik, rng, ll, counts_f)
     mean = np.zeros(grid.n_tiles)
     for _ in range(config.n_samples):
         for _ in range(config.thinning):
-            z, ll = ess_step(z, factor, loglik, rng, ll)
+            z, ll = ess_step(z, factor, loglik, rng, ll, counts_f)
         mean += np.exp(z + bias)
     mean /= config.n_samples
     return mean

@@ -36,31 +36,19 @@ def render_heatmap(values: np.ndarray, grid: CourtGrid, path) -> None:
         f.write(pixels.tobytes())
 
 
-def read_heatmap(path) -> np.ndarray:
-    """Read back a P5 graymap written by render_heatmap, as a (ny, nx) array."""
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P5":
-            raise ValueError(f"not a binary graymap: magic {magic!r}")
-        nx, ny = (int(t) for t in f.readline().split())
-        maxval = int(f.readline())
-        if maxval != 255:
-            raise ValueError(f"unsupported maxval {maxval}")
-        data = f.read(nx * ny)
-    if len(data) != nx * ny:
-        raise ValueError("truncated pixel data")
-    return np.frombuffer(data, dtype=np.uint8).reshape(ny, nx)
-
-
 def render_surface_csv(csv_path, out_dir) -> list:
     """Render every row of a shared-format surface CSV to <out>/<id>.pgm,
-    with ``_`` for unsafe characters; ids sharing a file name raise ValueError."""
+    with ``_`` for unsafe characters; an empty id (which would name the
+    hidden file ``.pgm``) and ids sharing a file name raise ValueError before
+    anything is written."""
     ids, matrix, grid = read_labeled_csv(csv_path)
     if grid is None:
         raise ValueError(f"{csv_path}:1: missing grid header")
     owner = {}
-    for name in ids:
+    for line, name in enumerate(ids, start=2):
         safe = "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
+        if not safe:
+            raise ValueError(f"{csv_path}:{line}: empty id would name the image .pgm")
         if safe in owner:
             raise ValueError(f"ids {owner[safe]!r} and {name!r} both map to {safe}.pgm")
         owner[safe] = name

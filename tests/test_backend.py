@@ -41,6 +41,20 @@ class TestExpit:
         assert got[0] == 0.0 and got[-1] == 1.0
 
 
+def _poisson_loglik(counts, field, bias, area):
+    """Full Poisson log-likelihood: the linear term counts . field plus the
+    kernel, whose constants fold in log(area), the bias and log(c!)."""
+    scale = area * math.exp(bias)
+    const = counts.sum() * (math.log(area) + bias) - bk.log_factorial(counts).sum()
+    return np.dot(counts, field) + bk.poisson_field_loglik(field, scale, const)
+
+
+def _bernoulli_loglik(makes, attempts, logits):
+    """Full binomial log-likelihood: the linear term makes . logits plus the
+    kernel."""
+    return np.dot(makes, logits) + bk.bernoulli_logits_loglik(attempts, logits)
+
+
 class TestPoissonFieldLoglik:
     def test_matches_scipy_logpmf(self):
         """Sum of independent Poisson log-pmfs with mean area*exp(field+bias)."""
@@ -48,15 +62,12 @@ class TestPoissonFieldLoglik:
         for _ in range(20):
             counts, field, bias, area = _random_loglik_case(rng)
             expected = poisson.logpmf(counts, area * np.exp(field + bias)).sum()
-            log_norm = bk.log_factorial(counts).sum()
-            got = bk.poisson_field_loglik(counts, field, bias, area, log_norm)
+            got = _poisson_loglik(counts, field, bias, area)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_single_tile_literal(self):
         """c=2, rate*area=2 gives log(2^2 e^-2 / 2!) = log 2 - 2."""
-        got = bk.poisson_field_loglik(
-            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0, math.log(2.0)
-        )
+        got = _poisson_loglik(np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0)
         np.testing.assert_allclose(got, -1.3068528194400546, rtol=1e-14)
 
 
@@ -70,7 +81,7 @@ class TestBernoulliLogitsLoglik:
             logits = rng.normal(0, 2, size=30)
             p = expit(logits)
             expected = (makes * np.log(p) + (attempts - makes) * np.log1p(-p)).sum()
-            got = bk.bernoulli_logits_loglik(makes, attempts, logits)
+            got = _bernoulli_loglik(makes, attempts, logits)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_extreme_logits_finite(self):
@@ -78,12 +89,12 @@ class TestBernoulliLogitsLoglik:
         makes = np.array([5.0, 0.0])
         attempts = np.array([5.0, 3.0])
         logits = np.array([40.0, -40.0])
-        got = bk.bernoulli_logits_loglik(makes, attempts, logits)
+        got = _bernoulli_loglik(makes, attempts, logits)
         assert np.isfinite(got)
         np.testing.assert_allclose(got, 0.0, atol=1e-10)
 
     def test_zero_attempts_contribute_nothing(self):
-        got = bk.bernoulli_logits_loglik(
+        got = _bernoulli_loglik(
             np.zeros(4), np.zeros(4), np.array([-5.0, 0.0, 2.0, 30.0])
         )
         assert got == 0.0
@@ -124,7 +135,42 @@ def _draw(weights, bases, players, tiles, uniforms):
     return bk.draw_type_indices(np.cumsum(probs, axis=1), totals, uniforms)
 
 
+def _draw_by_table(cum, totals, uniforms):
+    """The S x K comparison that the column count replaces."""
+    draws = (uniforms[:, None] * totals[:, None] > cum).sum(axis=1)
+    return np.minimum(draws, cum.shape[1] - 1)
+
+
 class TestDrawTypeIndices:
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_equals_full_table_comparison(self, k):
+        """Counting x > cum over the first K - 1 columns gives the S x K
+        comparison's indices: on random tables, with zero-weight types, on
+        dead rows (weight 1 per type, sum K), and where x reaches or passes
+        the row total."""
+        rng = np.random.default_rng(100 + k)
+        s = 400
+        weights = rng.uniform(0.0, 1.0, size=(6, k))
+        weights[rng.random((6, k)) < 0.3] = 0.0
+        bases = rng.uniform(0.0, 1.0, size=(k, 30))
+        bases[:, 25:] = 0.0
+        probs, totals = bk.type_weights(
+            weights, bases, rng.integers(0, 6, size=s), rng.integers(0, 30, size=s)
+        )
+        cum = np.cumsum(probs, axis=1)
+        uniforms = rng.random(s)
+        # the last rows put x at and just above the row total
+        uniforms[-20:] = 1.0
+        totals[-10:] = np.nextafter(cum[-10:, -1], np.inf)
+        x = uniforms * totals
+        assert np.any(x > cum[:, -1]) and np.any(x == cum[:, -1])
+        # with one type a zero weight makes the row dead
+        assert np.any(totals == k) and (k == 1 or np.any(probs == 0.0))
+        for table in (cum, np.asfortranarray(cum)):
+            got = bk.draw_type_indices(table, totals, uniforms)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, _draw_by_table(cum, totals, uniforms))
+
     def test_matches_manual_inverse_cdf(self):
         """Each draw is the inverse-CDF index of its per-shot posterior."""
         rng = np.random.default_rng(17)

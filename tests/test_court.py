@@ -297,6 +297,14 @@ class TestShotCsvRoundTrip:
         with pytest.raises(ValueError, match=r"shots\.csv: no shots"):
             read_shot_csv(path)
 
+    def test_empty_player_id_names_file_and_line(self, tmp_path):
+        """An empty player field is no player: the row is rejected, not read
+        as a player named ''."""
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\n,1.0,2.0,1\nb,1.0,2.0,0\n")
+        with pytest.raises(ValueError, match=r"shots\.csv:2: empty player id"):
+            read_shot_csv(path)
+
     def test_made_two_names_file_and_line(self, tmp_path):
         path = tmp_path / "shots.csv"
         path.write_text("player,x,y,made\np1,1.0,2.0,2\n")

@@ -275,9 +275,9 @@ class TestGibbsBetaStep:
         assert abs(np.mean(acc) - oracle) < 0.01
 
     def test_returned_loglik_matches_state(self):
-        """The reported log-likelihood is that of the returned logits."""
-        from shotfactor import backend
-
+        """The reported log-likelihood, the slice move's linear term
+        makes . logits plus the kernel, is the binomial log-likelihood of the
+        returned logits."""
         rng = np.random.default_rng(42)
         for _ in range(20):
             n, k = 4, 2
@@ -289,9 +289,11 @@ class TestGibbsBetaStep:
             new0, new, loglik = gibbs_beta_step(
                 beta0, beta, sigma2, makes, attempts, rng
             )
-            direct = backend.bernoulli_logits_loglik(
-                makes.ravel(), attempts.ravel(), np.ascontiguousarray(new.ravel())
-            )
+            # log sigma(x) = -log(1+e^-x); log(1-sigma(x)) = -log(1+e^x)
+            direct = -(
+                makes * np.logaddexp(0.0, -new)
+                + (attempts - makes) * np.logaddexp(0.0, new)
+            ).sum()
             np.testing.assert_allclose(loglik, direct, rtol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):

@@ -5,9 +5,21 @@ import numpy as np
 import pytest
 
 from shotfactor.court import CourtGrid
-from shotfactor.gp import CovFactor, KernelHyper, build_cov_factor, sample_field, squared_exponential
+from shotfactor.gp import CovFactor, KernelHyper, build_cov_factor, sample_field
 
 GRID = CourtGrid(tile_size=(2.5, 2.0))
+
+
+def squared_exponential(xi, xj, hyper: KernelHyper):
+    """Covariance sigma^2 exp(-0.5 ||xi - xj||^2 / phi^2) between two points.
+
+    Accepts single points of shape (2,) or broadcastable stacks (..., 2).
+    """
+    xi = np.asarray(xi, dtype=np.float64)
+    xj = np.asarray(xj, dtype=np.float64)
+    d2 = ((xi - xj) ** 2).sum(axis=-1)
+    out = hyper.variance * np.exp(-0.5 * d2 / hyper.length_scale**2)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class TestKernelHyper:

@@ -18,12 +18,29 @@ SMALL = CourtGrid(width=5.0, length=4.0, tile_size=1.0)
 DESK = CourtGrid(tile_size=(2.5, 2.0))
 
 
+def _poisson_loglik(counts, field, bias, area):
+    """Full Poisson log-likelihood as fit_lgcp splits it: the linear term
+    counts . field plus the kernel with the constants fit_lgcp folds."""
+    counts = np.asarray(counts, dtype=np.float64)
+    scale = area * math.exp(bias)
+    const = counts.sum() * (math.log(area) + bias) - backend.log_factorial(counts).sum()
+    return np.dot(counts, field) + backend.poisson_field_loglik(field, scale, const)
+
+
+def _poisson_oracle(counts, field, bias, area):
+    """The unsplit formula sum_v [c log(area rate) - area rate - log(c!)]."""
+    log_rate = field + bias
+    return float(
+        np.dot(counts, math.log(area) + log_rate)
+        - area * np.exp(log_rate).sum()
+        - backend.log_factorial(counts).sum()
+    )
+
+
 class TestPoissonLoglik:
     def test_single_tile_literal(self):
         """count 2 at mean 2: log(2^2 e^-2 / 2!) = log 2 - 2."""
-        got = backend.poisson_field_loglik(
-            np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0, math.log(2.0)
-        )
+        got = _poisson_loglik(np.array([2.0]), np.array([math.log(2.0)]), 0.0, 1.0)
         np.testing.assert_allclose(got, -1.3068528194400546, rtol=1e-14)
 
     def test_matches_scipy_over_random_fields(self):
@@ -33,8 +50,7 @@ class TestPoissonLoglik:
             z = rng.normal(0, 1, size=30)
             bias, area = float(rng.normal()), float(rng.uniform(0.5, 4))
             expected = poisson.logpmf(counts, area * np.exp(z + bias)).sum()
-            log_norm = backend.log_factorial(counts).sum()
-            got = backend.poisson_field_loglik(counts, z, bias, area, log_norm)
+            got = _poisson_loglik(counts, z, bias, area)
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_count_parameterization_agrees(self):
@@ -43,13 +59,12 @@ class TestPoissonLoglik:
         rng = np.random.default_rng(5)
         counts = rng.poisson(3.0, size=25)
         z = rng.normal(0, 1, size=25)
-        log_norm = backend.log_factorial(counts).sum()
-        a = backend.poisson_field_loglik(counts, z, 0.7, 2.5, log_norm)
+        a = _poisson_loglik(counts, z, 0.7, 2.5)
         (b,) = heldout_loglik(counts[None], np.exp(z + 0.7)[None], [1.0], 0.5, 2.5)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_zero_counts_leave_rate_mass_only(self):
-        got = backend.poisson_field_loglik(np.zeros(3), np.zeros(3), 0.0, 2.0, 0.0)
+        got = _poisson_loglik(np.zeros(3), np.zeros(3), 0.0, 2.0)
         np.testing.assert_allclose(got, -6.0, rtol=1e-14)
 
 
@@ -113,6 +128,38 @@ class TestEssUpdateTargets:
 
 
 class TestEssUpdateMechanics:
+    def test_linear_term_matches_full_loglik(self):
+        """With ``linear`` = c and a non-linear loglik, a chain visits the
+        same states as the chain whose loglik includes c . z, and each
+        returned value is the full log-likelihood."""
+        rng = np.random.default_rng(31)
+        c = rng.poisson(3.0, size=12).astype(np.float64)
+        rest = lambda z: float(-np.exp(z).sum())
+        full = lambda z: float(np.dot(c, z)) + rest(z)
+        chains = []
+        for linear, loglik in ((c, rest), (None, full)):
+            rng = np.random.default_rng(37)
+            state = np.zeros(12)
+            ll = loglik(state)
+            states, lls = [], []
+            for _ in range(300):
+                aux = rng.standard_normal(12)
+                state, ll = ess_update(state, aux, loglik, rng, ll, linear)
+                states.append(state)
+                lls.append(ll)
+            chains.append((np.array(states), np.array(lls)))
+        (with_linear, ll_linear), (plain, _) = chains
+        np.testing.assert_array_equal(with_linear, plain)
+        np.testing.assert_allclose(ll_linear, [full(z) for z in plain], rtol=1e-12)
+        # without cur_loglik the move scores the start with the linear term
+        state, aux = -np.ones(12), rng.standard_normal(12)
+        for seed in range(5):
+            moves = [
+                ess_update(state, aux, rest, np.random.default_rng(seed), cur, c)
+                for cur in (None, full(state))
+            ]
+            np.testing.assert_array_equal(moves[0][0], moves[1][0])
+
     def test_returned_loglik_matches_state(self):
         rng = np.random.default_rng(17)
         loglik = lambda th: float(-0.5 * (th**2).sum())
@@ -221,18 +268,19 @@ class TestFitLgcp:
         assert not np.array_equal(a, c)
 
     def test_hoisted_loglik_equals_poisson_loglik(self, monkeypatch):
-        """Every likelihood fit_lgcp evaluates, with log(c!) summed once per
-        player, equals the kernel given log(c!) summed afresh for the same
-        field."""
+        """Every likelihood fit_lgcp evaluates, with the bias, area and
+        log(c!) folded into the kernel's constants once per player, plus the
+        linear term counts . field equals the unsplit Poisson formula for
+        the same field."""
         rng = np.random.default_rng(47)
         counts = rng.poisson(5.0, size=SMALL.n_tiles)
         factor = build_cov_factor(SMALL, KernelHyper())
         kernel = backend.poisson_field_loglik
         seen = []
 
-        def spy(counts_f, field, bias, area, log_norm):
-            value = kernel(counts_f, field, bias, area, log_norm)
-            seen.append((field.copy(), bias, area, log_norm, value))
+        def spy(field, scale, const):
+            value = kernel(field, scale, const)
+            seen.append((field.copy(), value))
             return value
 
         monkeypatch.setattr(backend, "poisson_field_loglik", spy)
@@ -240,11 +288,13 @@ class TestFitLgcp:
         fit_lgcp(counts, factor, SMALL, cfg, np.random.default_rng(3))
         monkeypatch.undo()
         assert len(seen) > 10
-        counts_f = counts.astype(np.float64)
-        full_norm = backend.log_factorial(counts).sum()
-        for field, bias, area, log_norm, value in seen:
-            assert log_norm == full_norm
-            assert value == kernel(counts_f, field, bias, area, full_norm)
+        bias = math.log(counts.sum() / (SMALL.n_tiles * SMALL.tile_area))
+        for field, value in seen:
+            np.testing.assert_allclose(
+                np.dot(counts, field) + value,
+                _poisson_oracle(counts, field, bias, SMALL.tile_area),
+                rtol=1e-12,
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

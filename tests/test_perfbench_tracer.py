@@ -58,3 +58,8 @@ def test_traced_pipeline_reports_sampler_work(tmp_path):
     names += [f"pipeline.stage_s.{stage}" for stage in stages]
     for name in names:
         assert metrics[name] > 0, name
+    # each slice proposal goes through a traced kernel, and so does each
+    # sweep's type draw
+    assert metrics["lgcp.evals_per_move"] >= 1
+    assert metrics["efficiency.slice_evals_per_sweep"] >= 1
+    assert metrics["backend.draw_type_indices.calls"] > 0

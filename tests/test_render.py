@@ -4,7 +4,23 @@ import numpy as np
 import pytest
 
 from shotfactor.court import CourtGrid, write_labeled_csv
-from shotfactor.render import read_heatmap, render_heatmap, render_surface_csv
+from shotfactor.render import render_heatmap, render_surface_csv
+
+
+def read_heatmap(path) -> np.ndarray:
+    """Read back a P5 graymap written by render_heatmap, as a (ny, nx) array."""
+    with open(path, "rb") as f:
+        magic = f.readline().strip()
+        if magic != b"P5":
+            raise ValueError(f"not a binary graymap: magic {magic!r}")
+        nx, ny = (int(t) for t in f.readline().split())
+        maxval = int(f.readline())
+        if maxval != 255:
+            raise ValueError(f"unsupported maxval {maxval}")
+        data = f.read(nx * ny)
+    if len(data) != nx * ny:
+        raise ValueError("truncated pixel data")
+    return np.frombuffer(data, dtype=np.uint8).reshape(ny, nx)
 
 
 class TestRenderHeatmap:
@@ -116,3 +132,14 @@ class TestRenderSurfaceCsv:
             np.testing.assert_array_equal(
                 pixels.ravel(), expected.astype(np.uint8)
             )
+
+    def test_empty_id_rejected_before_writing(self, tmp_path):
+        """An empty id would render to the hidden file <out>/.pgm: the file
+        and line are named and no image is written."""
+        grid = CourtGrid(width=2.0, length=2.0, tile_size=1.0)
+        csv_path = tmp_path / "surfaces.csv"
+        write_labeled_csv(csv_path, ["b", ""], np.ones((2, grid.n_tiles)), grid)
+        out_dir = tmp_path / "img"
+        with pytest.raises(ValueError, match=r"surfaces\.csv:3: empty id"):
+            render_surface_csv(csv_path, out_dir)
+        assert not out_dir.exists()
