@@ -46,41 +46,33 @@ def write_json(path, obj) -> None:
 class CourtGrid:
     """Rectangular discretization of the offensive half court.
 
-    ``tile_size`` is either a single edge length in feet (square tiles) or an
-    ``(x, y)`` tuple.  Tiles are half-open boxes ``[a, a + t)`` along each axis;
-    the court's far edges fold into the last tile so every in-court point maps
+    ``tile_size`` is the ``(x, y)`` pair of tile edges in feet, kept as
+    floats.  Tiles are half-open boxes ``[a, a + t)`` along each axis; the
+    court's far edges fold into the last tile so every in-court point maps
     to exactly one tile.  Tile ids are row-major with x varying fastest.
     """
 
     width: float = 35.0
     length: float = 50.0
-    tile_size: float | tuple[float, float] = 1.0
+    tile_size: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
         check_number("width", self.width, 0, strict=True)
         check_number("length", self.length, 0, strict=True)
         sizes = self.tile_size
-        if not isinstance(sizes, tuple):
-            sizes = (sizes,)
-        elif len(sizes) != 2:
-            raise ValueError(f"tile_size must be a number or a pair, got {sizes!r}")
+        if not isinstance(sizes, tuple) or len(sizes) != 2:
+            raise ValueError(f"tile_size must be an (x, y) pair, got {sizes!r}")
         for size in sizes:
             check_number("tile_size", size, 0, strict=True)
-
-    @property
-    def tile_dims(self) -> tuple[float, float]:
-        t = self.tile_size
-        if isinstance(t, tuple):
-            return float(t[0]), float(t[1])
-        return float(t), float(t)
+        object.__setattr__(self, "tile_size", tuple(map(float, sizes)))
 
     @property
     def nx(self) -> int:
-        return int(np.ceil(self.width / self.tile_dims[0]))
+        return int(np.ceil(self.width / self.tile_size[0]))
 
     @property
     def ny(self) -> int:
-        return int(np.ceil(self.length / self.tile_dims[1]))
+        return int(np.ceil(self.length / self.tile_size[1]))
 
     @property
     def n_tiles(self) -> int:
@@ -88,16 +80,24 @@ class CourtGrid:
 
     @property
     def tile_area(self) -> float:
-        tx, ty = self.tile_dims
+        tx, ty = self.tile_size
         return tx * ty
+
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Tile-center coordinates along x (nx) and along y (ny)."""
+        tx, ty = self.tile_size
+        return (np.arange(self.nx) + 0.5) * tx, (np.arange(self.ny) + 0.5) * ty
 
     def tile_centers(self) -> np.ndarray:
         """(V, 2) array of tile-center coordinates, row-major, x fastest."""
-        tx, ty = self.tile_dims
-        xs = (np.arange(self.nx) + 0.5) * tx
-        ys = (np.arange(self.ny) + 0.5) * ty
-        gx, gy = np.meshgrid(xs, ys)
+        gx, gy = np.meshgrid(*self.axis_centers())
         return np.column_stack([gx.ravel(), gy.ravel()])
+
+    def unit_volume(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scale each row of rates (N x V) to integrate to 1 over the court;
+        returns (scaled rows, each row's volume)."""
+        volumes = rows.sum(axis=1) * self.tile_area
+        return rows / volumes[:, None], volumes
 
 
 @dataclass(eq=False)
@@ -159,7 +159,7 @@ def tile_indices(xs: np.ndarray, ys: np.ndarray, grid: CourtGrid) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     _require_on_court(xs, ys, grid)
-    tx, ty = grid.tile_dims
+    tx, ty = grid.tile_size
     ix = np.minimum((xs // tx).astype(np.int64), grid.nx - 1)
     iy = np.minimum((ys // ty).astype(np.int64), grid.ny - 1)
     return iy * grid.nx + ix
@@ -294,7 +294,7 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
 
 
 def _grid_header(grid: CourtGrid) -> str:
-    tx, ty = grid.tile_dims
+    tx, ty = grid.tile_size
     if tx == ty:
         return f"# grid {repr(grid.width)} {repr(grid.length)} {repr(tx)}"
     return f"# grid {repr(grid.width)} {repr(grid.length)} {repr(tx)} {repr(ty)}"
@@ -305,8 +305,7 @@ def _parse_grid_header(line: str) -> CourtGrid:
     if len(parts) not in (5, 6) or parts[0] != "#" or parts[1] != "grid":
         raise ValueError(f"malformed grid header: {line!r}")
     nums = [float(p) for p in parts[2:]]
-    tile = nums[2] if len(nums) == 3 else (nums[2], nums[3])
-    return CourtGrid(width=nums[0], length=nums[1], tile_size=tile)
+    return CourtGrid(width=nums[0], length=nums[1], tile_size=(nums[2], nums[-1]))
 
 
 def write_labeled_csv(

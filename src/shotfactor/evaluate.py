@@ -131,13 +131,6 @@ def basis_recovery_score(b_hat: np.ndarray, b_star: np.ndarray) -> RecoveryScore
     return RecoveryScore(pairs=pairs, similarities=np.array(sims))
 
 
-def _unit_rows(matrix: np.ndarray, area: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp, then scale each row to unit volume; returns (rows, volumes)."""
-    matrix = np.maximum(matrix, EPS)
-    volumes = matrix.sum(axis=1) * area
-    return matrix / volumes[:, None], volumes
-
-
 def compare_surfaces(
     cm_train: CountMatrix,
     cm_test: CountMatrix,
@@ -155,18 +148,21 @@ def compare_surfaces(
     area = grid.tile_area
     k_star = np.inf if truth_bases is None else truth_bases.shape[0]
 
+    def unit_rows(matrix):  # clamped: an empty or negative tile still scores
+        return grid.unit_volume(np.maximum(matrix, EPS))
+
     def reduce(model: str, k: int):
         if model == "lgcp":
             return unit_surfaces, volumes, None
         if model == "pca":
             k_pca = min(k, len(players) - 1, grid.n_tiles)
-            rows, _ = _unit_rows(pca_reconstruct(fit_pca(unit_surfaces, k_pca)), area)
+            rows, _ = unit_rows(pca_reconstruct(fit_pca(unit_surfaces, k_pca)))
             return rows, volumes, None
         if model == "nmf_counts":
             fit = fit_nmf(cm_train.counts + COUNT_JITTER, k, "kl", config.nmf)
-            return *_unit_rows((fit.weights @ fit.bases) / area, area), fit.bases
+            return *unit_rows((fit.weights @ fit.bases) / area), fit.bases
         fit = fit_nmf(unit_surfaces, k, SURFACE_LOSSES[model], config.nmf)
-        return _unit_rows(fit.weights @ fit.bases, area)[0], volumes, fit.bases
+        return unit_rows(fit.weights @ fit.bases)[0], volumes, fit.bases
 
     entries: list[EvalEntry] = []
     recovery: dict = {}

@@ -51,12 +51,10 @@ def build_cov_factor(grid: CourtGrid, hyper: KernelHyper) -> CovFactor:
     factors' diagonals, which moves the covariance by O(jitter); a failed
     factorization retries with jitter scaled by 10, up to 3 times.
     """
-    centers = grid.tile_centers()
+    xs, ys = grid.axis_centers()
     kernels = [
-        backend.sq_exp_matrix(
-            np.ascontiguousarray(axis), np.zeros(len(axis)), 1.0, hyper.length_scale
-        )
-        for axis in (centers[:: grid.nx, 1], centers[: grid.nx, 0])
+        backend.sq_exp_matrix(axis, np.zeros(len(axis)), 1.0, hyper.length_scale)
+        for axis in (ys, xs)
     ]
     current = 1e-6 * hyper.variance
     for attempt in range(4):

@@ -145,13 +145,9 @@ def fit_cohort(
     depend on scheduling.
     """
     counts = np.asarray(counts)
-    n = counts.shape[0]
-    surfaces = np.empty((n, grid.n_tiles))
-    volumes = np.empty(n)
-    for i in range(n):
+    rates = np.empty((counts.shape[0], grid.n_tiles))
+    for i in range(counts.shape[0]):
         # stream tag 2: cohort chains stay disjoint from other stages
         rng = np.random.default_rng([config.seed, 2, i])
-        rates = fit_lgcp(counts[i], factor, grid, config, rng)
-        volumes[i] = rates.sum() * grid.tile_area
-        surfaces[i] = rates / volumes[i]
-    return surfaces, volumes
+        rates[i] = fit_lgcp(counts[i], factor, grid, config, rng)
+    return grid.unit_volume(rates)

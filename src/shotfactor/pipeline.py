@@ -92,10 +92,15 @@ class PipelineConfig:
                 raise ValueError("not a non-empty list")
             for k in ks:
                 check_number("k", k, 1, integer=True)
+            if len(set(ks)) != len(ks):
+                raise ValueError("a repeated value")
         except ValueError as exc:
-            message = f"k_list must be a list of integers >= 1, got {ks!r}"
+            message = f"k_list must be a list of integers >= 1, no repeats, got {ks!r}"
             raise ValueError(message) from exc
         self.k_list = tuple(ks)
+        for key in ("shots", "out"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"{key} must be a string, got {getattr(self, key)!r}")
 
     # Component-config views; each constructor revalidates its block.
     def grid(self) -> CourtGrid:
@@ -195,10 +200,9 @@ class StageRunner:
     key is the one it last ran with.  ``key`` sets a stage's key before
     ``run`` runs it."""
 
-    def __init__(self, out_dir, log=print):
+    def __init__(self, out_dir):
         self.out_dir = out_dir
         self.state_path = os.path.join(out_dir, "pipeline_state.txt")
-        self.log = log
         self.keys = {}  # stage name -> key in this run
         self.sums = {}  # path -> SHA-256, each file read at most once a run
         try:
@@ -248,18 +252,16 @@ class StageRunner:
                 r for r, p in zip(rel, outputs) if self.checksum(p) != recorded[r]
             ]
             if not stale:
-                self.log(f"[{name}] up to date, skipping")
+                print(f"[{name}] up to date, skipping")
                 return
-            self.log(
-                f"[{name}] checksum mismatch on {', '.join(stale)}; re-running"
-            )
+            print(f"[{name}] checksum mismatch on {', '.join(stale)}; re-running")
             reason = "checksum mismatch"
         fn()
         for r, p in zip(rel, outputs):
             self.sums[p] = recorded[r] = _sha256(p)
         self.state["stages"][name] = key
         write_json(self.state_path, self.state)
-        self.log(f"[{name}] done ({reason})")
+        print(f"[{name}] done ({reason})")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,10 @@ def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
     volumes = np.array([volumes_map[player] for player in players])
     truth_bases = None
     if os.path.exists(truth_path):
-        _, truth_bases, _ = read_labeled_csv(truth_path)
+        _, truth_bases, truth_grid = read_labeled_csv(truth_path)
+        if truth_grid != cm_train.grid:
+            found = "no grid header" if truth_grid is None else f"grid {truth_grid}"
+            raise ValueError(f"{truth_path}:1: {found}, expected {cm_train.grid}")
     report = compare_surfaces(
         cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth_bases
     )
@@ -437,9 +442,7 @@ def stage_plan(target: str | None = None) -> list:
     return plan
 
 
-def run_pipeline(
-    config: PipelineConfig, out_dir, log=print, stage: str | None = None
-) -> list:
+def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> list:
     """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
     the config, less its ``out``, in ``pipeline_manifest.txt``; returns the
     output paths of the last stage.  A failure inside a stage, its views
@@ -457,7 +460,7 @@ def run_pipeline(
     def path(name):
         return data.get(name) or os.path.join(out_dir, name.format(**vars(config)))
 
-    runner = StageRunner(out_dir, log=log)
+    runner = StageRunner(out_dir)
     for st in stage_plan(stage):
         inputs = {name.format(**vars(config)): path(name) for name in st.inputs}
         outputs = [path(name) for name in st.outputs]

@@ -100,10 +100,9 @@ def make_planted_bases(grid: CourtGrid, k_star: int, seed: int) -> np.ndarray:
         _band(32.0, centers, 2.0),
     ][:k_star]
     bases = np.vstack(rows)
-    volumes = bases.sum(axis=1) * grid.tile_area
-    if np.any(volumes <= 0):
+    if not bases.any(axis=1).all():
         raise RuntimeError("a primitive fell entirely outside the court")
-    bases /= volumes[:, None]
+    bases, _ = grid.unit_volume(bases)
     norms = np.linalg.norm(bases, axis=1)
     cosine = (bases @ bases.T) / np.outer(norms, norms)
     np.fill_diagonal(cosine, 0.0)
@@ -129,7 +128,7 @@ def sample_player_shots(
         raise ValueError("player weights must have positive sum")
     lam = budget * (weights_row / total) @ bases
     counts = rng.poisson(lam * grid.tile_area)
-    tx, ty = grid.tile_dims
+    tx, ty = grid.tile_size
     xs, ys = [], []
     for v in np.nonzero(counts)[0]:
         c = int(counts[v])
@@ -242,7 +241,7 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
         "alpha": config.alpha,
         "sigma_star": config.sigma_star,
         "seed": config.seed,
-        "grid": [grid.width, grid.length, *grid.tile_dims],
+        "grid": [grid.width, grid.length, *grid.tile_size],
         "beta0_star": truth.beta0.tolist(),
         "budgets": truth.budgets.tolist(),
         "n_shots": len(shots),

@@ -13,7 +13,12 @@ import pytest
 
 from shotfactor import backend, cli
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
-from shotfactor.court import read_count_csv, read_labeled_csv, write_labeled_csv
+from shotfactor.court import (
+    CourtGrid,
+    read_count_csv,
+    read_labeled_csv,
+    write_labeled_csv,
+)
 from shotfactor.pipeline import (
     STAGES,
     PipelineConfig,
@@ -182,6 +187,27 @@ class TestConfigParsing:
         maps to its stage; a bad shared seed fails the config itself."""
         with pytest.raises(ValueError, match=re.escape(message)):
             getattr(PipelineConfig(**{key: value}), view)()
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("pipeline", "shots", "2", "shots must be a string, got 2"),
+            ("synth", "out", "5", "out must be a string, got 5"),
+            ("pipeline", "out", "[]", "out must be a string, got []"),
+            ("pipeline", "k_list", "[4, 4]", "no repeats, got [4, 4]"),
+        ],
+    )
+    def test_path_and_k_list_values_exit_one_naming_the_key(
+        self, tmp_path, capsys, command, key, value, message
+    ):
+        """A file path that is not a string, and a K list that repeats a
+        rank, fail the config with one error line, before any stage runs."""
+        config_path = _write_config(str(tmp_path), **{key: value})
+        assert main([command, "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "artifacts").exists()
 
     def test_component_views_carry_shared_seed(self):
         """Every component config inherits the global seed."""
@@ -561,11 +587,12 @@ class TestPipelineCommand:
         for name in expected:
             assert (tmp_path / name).exists(), f"missing {name}"
 
-    def test_stage_table_names_every_file_written(self, workspace, tmp_path):
+    def test_stage_table_names_every_file_written(self, workspace, tmp_path, capsys):
         """The artifact directory holds exactly the outputs named in STAGES
         plus the run's manifest and state: no writer names a file itself."""
         config = load_config(workspace["config"])
-        run_pipeline(config, out_dir=tmp_path, log=lambda _: None)
+        run_pipeline(config, out_dir=tmp_path)
+        assert capsys.readouterr().out.count("] done (no record)") == len(STAGES)
         named = {
             name.format(**vars(config)) for stage in STAGES for name in stage.outputs
         }
@@ -640,6 +667,28 @@ class TestPipelineCommand:
         config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
         assert main(["evaluate", "--config", config_path]) == STAGE_CODES["evaluate"]
         assert "truth_B.csv:2: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [CourtGrid(50.0, 35.0, (2.0, 2.5)), CourtGrid(tile_size=(5.0, 5.0)), None],
+    )
+    def test_truth_off_the_cohort_grid_fails_evaluate_at_its_header(
+        self, finished, tmp_path, capsys, grid
+    ):
+        """Planted bases on another court with the same tile count, on
+        another tile count, or without a grid header fail the evaluate stage
+        at truth_B.csv:1, not with cosines taken over the wrong tiles."""
+        data = tmp_path / "data"
+        shutil.copytree(finished.parent / "data", data)
+        ids, bases, _ = read_labeled_csv(data / "truth_B.csv")
+        n_tiles = bases.shape[1] if grid is None else grid.n_tiles
+        write_labeled_csv(data / "truth_B.csv", ids, bases[:, :n_tiles], grid)
+        shutil.copytree(finished, tmp_path / "artifacts")
+        config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
+        assert main(["evaluate", "--config", config_path]) == STAGE_CODES["evaluate"]
+        found = "no grid header" if grid is None else f"grid {grid!r}"
+        expected = f"expected {CourtGrid(tile_size=(2.5, 2.0))!r}\n"
+        assert f"truth_B.csv:1: {found}, {expected}" in capsys.readouterr().err
 
     def _rerun(self, finished, tmp_path, capsys, **overrides):
         """Rerun a copy of a finished directory under an edited config;

@@ -1,6 +1,8 @@
 """Court geometry, shot tiling, count-matrix assembly, and the
 per-player holdout split."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -57,21 +59,33 @@ class TestCourtGrid:
         assert (DESK.nx, DESK.ny, DESK.n_tiles) == (14, 25, 350)
         assert DESK.tile_area == 5.0
 
-    def test_square_tile_shorthand(self):
-        g = CourtGrid(tile_size=5.0)
-        assert (g.nx, g.ny, g.n_tiles) == (7, 10, 70)
-        assert g.tile_dims == (5.0, 5.0)
-
     @pytest.mark.parametrize("tile_size", [(1.0, 2.0, 3.0), (2.0,), [2.5, 2.0]])
     def test_tile_size_other_than_number_or_pair_rejected(self, tile_size):
-        """A tile size is one number or a tuple of two; anything else fails
-        at construction, naming the field."""
-        with pytest.raises(ValueError, match="tile_size must be"):
+        """A tile size is a tuple of two; any other shape fails at
+        construction with the pair message."""
+        with pytest.raises(ValueError, match=r"tile_size must be an \(x, y\) pair"):
             CourtGrid(tile_size=tile_size)
+
+    @pytest.mark.parametrize("tile_size", [1.0, 2])
+    def test_number_tile_size_rejected(self, tile_size):
+        """A single number is no square-tile shorthand: square tiles are
+        the pair (t, t)."""
+        message = f"tile_size must be an (x, y) pair, got {tile_size!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CourtGrid(tile_size=tile_size)
+
+    def test_tile_edges_stored_as_floats(self):
+        """Integer edges become floats, so the grid header of a config's
+        ``tile_x = 2`` reads ``2.0``; width and length keep their type."""
+        g = CourtGrid(width=4, length=2, tile_size=(2, 1))
+        assert g.tile_size == (2.0, 1.0)
+        assert all(type(t) is float for t in g.tile_size)
+        assert g == CourtGrid(4, 2, (2.0, 1.0))
+        assert (g.width, g.length) == (4, 2) and type(g.width) is int
 
     def test_non_divisible_tile_rounds_up(self):
         """Tile counts use ceiling division so edge tiles absorb the remainder."""
-        g = CourtGrid(tile_size=3.0)
+        g = CourtGrid(tile_size=(3.0, 3.0))
         assert (g.nx, g.ny, g.n_tiles) == (12, 17, 204)
         assert tile_indices([35.0], [50.0], g).tolist() == [203]
 
@@ -82,6 +96,29 @@ class TestCourtGrid:
         np.testing.assert_allclose(centers[1], [3.75, 1.0])
         np.testing.assert_allclose(centers[14], [1.25, 3.0])
         np.testing.assert_allclose(centers[-1], [35 - 1.25, 50 - 1.0])
+
+    @pytest.mark.parametrize("grid", [DESK, CourtGrid(7.0, 5.0, (3.0, 2.0))])
+    def test_tile_centers_are_the_axis_centers(self, grid):
+        """Column x of tile_centers() repeats the x axis centres per row,
+        column y repeats each y axis centre along its row."""
+        xs, ys = grid.axis_centers()
+        assert (len(xs), len(ys)) == (grid.nx, grid.ny)
+        centers = grid.tile_centers()
+        np.testing.assert_array_equal(centers[:, 0], np.tile(xs, grid.ny))
+        np.testing.assert_array_equal(centers[:, 1], np.repeat(ys, grid.nx))
+
+    @pytest.mark.parametrize("grid", [DESK, CourtGrid(tile_size=(1.0, 1.0))])
+    def test_unit_volume_rows_integrate_to_one(self, grid):
+        """Each scaled row integrates to 1 over the court, and rows and
+        volumes are bit-equal to the one-row formula."""
+        rng = np.random.default_rng(3)
+        rates = rng.uniform(0.0, 4.0, size=(5, grid.n_tiles))
+        rows, volumes = grid.unit_volume(rates)
+        np.testing.assert_allclose(rows.sum(axis=1) * grid.tile_area, 1.0, rtol=1e-12)
+        for i, rate in enumerate(rates):
+            volume = rate.sum() * grid.tile_area
+            assert volumes[i] == volume
+            np.testing.assert_array_equal(rows[i], rate / volume)
 
 
 class TestTileIndex:
@@ -325,15 +362,24 @@ class TestCountCsvRoundTrip:
         np.testing.assert_array_equal(back.counts, cm.counts)
 
     def test_square_tile_header_round_trip(self, tmp_path):
-        g = CourtGrid(tile_size=5.0)
+        g = CourtGrid(tile_size=(5.0, 5.0))
         cm = CountMatrix(np.zeros((1, g.n_tiles), dtype=np.int64), ["a"], g)
         path = tmp_path / "counts.csv"
         write_count_csv(path, cm)
+        assert path.read_text().startswith("# grid 35.0 50.0 5.0\n")
         assert read_count_csv(path).grid == g
+
+    def test_square_tile_header_reads_as_the_config_grid(self, tmp_path):
+        """The three-number header of square tiles reads back as the grid
+        a config with tile_x = tile_y builds."""
+        path = tmp_path / "s.csv"
+        path.write_text("# grid 35.0 50.0 1.0\n" + "a" + ",0.5" * 1750 + "\n")
+        _, _, grid = read_labeled_csv(path)
+        assert grid == CourtGrid(35.0, 50.0, (1.0, 1.0))
 
 
 # a two-tile court, square and anisotropic
-TWO = CourtGrid(width=2.0, length=1.0, tile_size=1.0)
+TWO = CourtGrid(width=2.0, length=1.0, tile_size=(1.0, 1.0))
 TWO_ANISO = CourtGrid(width=2.0, length=2.0, tile_size=(1.0, 2.0))
 SURFACE_ROWS = np.array([[0.1, 1 / 3], [2.5e-300, -0.0]])
 

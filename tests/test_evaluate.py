@@ -150,7 +150,7 @@ class TestBasisRecoveryScore:
 
 def _two_basis_shots(rng, n_players, per_player):
     """Shots from two separated bumps on a small court."""
-    grid = CourtGrid(width=10.0, length=8.0, tile_size=2.0)
+    grid = CourtGrid(width=10.0, length=8.0, tile_size=(2.0, 2.0))
     rows = []
     for i in range(n_players):
         lean = rng.uniform(0.2, 0.8)
@@ -227,7 +227,7 @@ class TestRunComparison:
         nmf_counts fits the counts plus COUNT_JITTER, so raw zeros never
         reach the KL loss, and only the NMF models score basis recovery,
         at K >= K* only."""
-        grid = CourtGrid(width=4.0, length=5.0, tile_size=1.0)
+        grid = CourtGrid(width=4.0, length=5.0, tile_size=(1.0, 1.0))
         area = grid.tile_area
         rng = np.random.default_rng(43)
         players = [f"p{i}" for i in range(6)]

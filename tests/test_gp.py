@@ -68,7 +68,7 @@ class TestBuildCovFactor:
         covariance over tile centers to O(jitter), on the 350- and
         1,750-tile grids."""
         h = KernelHyper(variance=2.0, length_scale=4.0)
-        for grid in (GRID, CourtGrid(tile_size=1.0)):
+        for grid in (GRID, CourtGrid(tile_size=(1.0, 1.0))):
             factor = build_cov_factor(grid, h)
             centers = grid.tile_centers()
             dense = squared_exponential(centers[:, None, :], centers[None, :, :], h)
@@ -88,7 +88,7 @@ class TestBuildCovFactor:
 
     def test_fine_grid_factor_is_small(self):
         """At 1,750 tiles the two factors total under 64 KB."""
-        factor = build_cov_factor(CourtGrid(tile_size=1.0), KernelHyper())
+        factor = build_cov_factor(CourtGrid(tile_size=(1.0, 1.0)), KernelHyper())
         assert factor.dim == 1750
         assert factor.lower_y.nbytes + factor.lower_x.nbytes < 64 * 1024
 

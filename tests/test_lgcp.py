@@ -14,7 +14,7 @@ from shotfactor.evaluate import heldout_loglik
 from shotfactor.gp import KernelHyper, build_cov_factor
 from shotfactor.lgcp import LgcpConfig, ess_step, ess_update, fit_cohort, fit_lgcp
 
-SMALL = CourtGrid(width=5.0, length=4.0, tile_size=1.0)
+SMALL = CourtGrid(width=5.0, length=4.0, tile_size=(1.0, 1.0))
 DESK = CourtGrid(tile_size=(2.5, 2.0))
 
 
@@ -349,4 +349,4 @@ class TestSurfaceCsv:
         path = tmp_path / "s.csv"
         write_labeled_csv(path, ["a"], np.ones((1, DESK.n_tiles)), DESK)
         _, _, grid = read_labeled_csv(path)
-        assert grid.tile_dims == (2.5, 2.0)
+        assert grid.tile_size == (2.5, 2.0)

@@ -26,7 +26,7 @@ def read_heatmap(path) -> np.ndarray:
 class TestRenderHeatmap:
     def test_constant_surface_renders_all_zero(self, tmp_path):
         """A flat surface has no range and renders as black."""
-        grid = CourtGrid(width=4.0, length=3.0, tile_size=1.0)
+        grid = CourtGrid(width=4.0, length=3.0, tile_size=(1.0, 1.0))
         path = tmp_path / "flat.pgm"
         render_heatmap(np.full(grid.n_tiles, 2.5), grid, path)
         pixels = read_heatmap(path)
@@ -34,7 +34,7 @@ class TestRenderHeatmap:
 
     def test_two_tile_surface_hits_both_extremes(self, tmp_path):
         """A [0, 1] surface maps to pixel values {0, 255}."""
-        grid = CourtGrid(width=2.0, length=1.0, tile_size=1.0)
+        grid = CourtGrid(width=2.0, length=1.0, tile_size=(1.0, 1.0))
         path = tmp_path / "two.pgm"
         render_heatmap(np.array([0.0, 1.0]), grid, path)
         np.testing.assert_array_equal(read_heatmap(path), [[0, 255]])
@@ -50,7 +50,7 @@ class TestRenderHeatmap:
 
     def test_scaling_formula(self, tmp_path):
         """Pixels are round(255 * (v - min) / (max - min))."""
-        grid = CourtGrid(width=4.0, length=1.0, tile_size=1.0)
+        grid = CourtGrid(width=4.0, length=1.0, tile_size=(1.0, 1.0))
         values = np.array([1.0, 2.0, 2.5, 5.0])
         path = tmp_path / "scaled.pgm"
         render_heatmap(values, grid, path)
@@ -59,7 +59,7 @@ class TestRenderHeatmap:
 
     def test_rendering_is_bit_exact(self, tmp_path):
         """The same surface produces identical bytes every time."""
-        grid = CourtGrid(width=5.0, length=4.0, tile_size=1.0)
+        grid = CourtGrid(width=5.0, length=4.0, tile_size=(1.0, 1.0))
         rng = np.random.default_rng(42)
         values = rng.uniform(0.0, 3.0, grid.n_tiles)
         path_a = tmp_path / "a.pgm"
@@ -70,7 +70,7 @@ class TestRenderHeatmap:
 
     def test_row_zero_is_nearest_baseline(self, tmp_path):
         """The first pixel row holds the tiles with the smallest y."""
-        grid = CourtGrid(width=2.0, length=2.0, tile_size=1.0)
+        grid = CourtGrid(width=2.0, length=2.0, tile_size=(1.0, 1.0))
         # tiles ordered x-fastest: (0,0), (1,0), (0,1), (1,1)
         values = np.array([1.0, 1.0, 0.0, 0.0])
         path = tmp_path / "rows.pgm"
@@ -81,7 +81,7 @@ class TestRenderHeatmap:
 
     def test_wrong_length_rejected(self, tmp_path):
         """A surface that does not match the grid is an error."""
-        grid = CourtGrid(width=4.0, length=3.0, tile_size=1.0)
+        grid = CourtGrid(width=4.0, length=3.0, tile_size=(1.0, 1.0))
         with pytest.raises(ValueError, match="tiles"):
             render_heatmap(np.zeros(5), grid, tmp_path / "bad.pgm")
 
@@ -112,7 +112,7 @@ class TestReadHeatmap:
 class TestRenderSurfaceCsv:
     def test_renders_one_image_per_row(self, tmp_path):
         """Every surface row lands as <id>.pgm with sanitized names."""
-        grid = CourtGrid(width=3.0, length=2.0, tile_size=1.0)
+        grid = CourtGrid(width=3.0, length=2.0, tile_size=(1.0, 1.0))
         rng = np.random.default_rng(42)
         matrix = rng.uniform(0.0, 1.0, size=(3, grid.n_tiles))
         csv_path = tmp_path / "surfaces.csv"
@@ -136,7 +136,7 @@ class TestRenderSurfaceCsv:
     def test_empty_id_rejected_before_writing(self, tmp_path):
         """An empty id would render to the hidden file <out>/.pgm: the file
         and line are named and no image is written."""
-        grid = CourtGrid(width=2.0, length=2.0, tile_size=1.0)
+        grid = CourtGrid(width=2.0, length=2.0, tile_size=(1.0, 1.0))
         csv_path = tmp_path / "surfaces.csv"
         write_labeled_csv(csv_path, ["b", ""], np.ones((2, grid.n_tiles)), grid)
         out_dir = tmp_path / "img"

@@ -21,7 +21,7 @@ from shotfactor.synth import (
 DESK = CourtGrid(tile_size=(2.5, 2.0))
 
 # a tiny 2x2 court with two hand-made unit-volume bases
-G22 = CourtGrid(width=2.0, length=2.0, tile_size=1.0)
+G22 = CourtGrid(width=2.0, length=2.0, tile_size=(1.0, 1.0))
 B22 = np.array([[0.5, 0.3, 0.15, 0.05], [0.05, 0.15, 0.3, 0.5]])
 
 
@@ -67,7 +67,7 @@ class TestMakePlantedBases:
 class TestSamplePlayerShots:
     def test_single_tile_budget_is_poisson_mean(self):
         """On a one-tile court the shot total is Poisson at the budget."""
-        grid = CourtGrid(width=1.0, length=1.0, tile_size=1.0)
+        grid = CourtGrid(width=1.0, length=1.0, tile_size=(1.0, 1.0))
         bases = np.array([[1.0]])
         rng = np.random.default_rng(42)
         totals = np.array(
