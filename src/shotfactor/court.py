@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -34,10 +35,25 @@ def check_number(name, value, low, high=None, integer=False, strict=False) -> No
         raise ValueError(f"{name} must be {kind} {bounds}, got {value!r}")
 
 
+@contextlib.contextmanager
+def open_text(path, mode="r"):
+    """Open a text file as UTF-8 whatever the locale, with ``newline=""``.
+
+    Reading drops a leading byte-order mark; bytes that are not UTF-8
+    raise ValueError naming the file.
+    """
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
+    with open(path, mode, encoding=encoding, newline="") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def write_json(path, obj) -> None:
     """Write ``obj`` as JSON with sorted keys, two-space indents and a final
     newline."""
-    with open(path, "w") as f:
+    with open_text(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -245,7 +261,7 @@ SHOT_HEADER = ["player", "x", "y", "made"]
 def write_shot_csv(path, shots: ShotTable) -> None:
     # row by row, so no column is copied into a list of Python objects
     xs, ys = map(repr, map(float, shots.x)), map(repr, map(float, shots.y))
-    with open(path, "w", newline="") as f:
+    with open_text(path, "w") as f:
         writer = csv.writer(f)
         writer.writerow(SHOT_HEADER)
         writer.writerows(zip(shots.players, xs, ys, map(int, shots.made)))
@@ -260,7 +276,7 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
     breaks this raises ValueError naming the file and line; a file without
     rows names the file.
     """
-    with open(path, newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         header = next(reader, [])
         missing = sorted(set(SHOT_HEADER) - set(header))
@@ -319,7 +335,7 @@ def write_labeled_csv(
     matrix = np.asarray(matrix)
     if not np.issubdtype(matrix.dtype, np.integer):
         matrix = matrix.astype(np.float64)
-    with open(path, "w", newline="") as f:
+    with open_text(path, "w") as f:
         if grid is not None:
             f.write(_grid_header(grid) + "\n")
         writer = csv.writer(f)
@@ -341,7 +357,7 @@ def read_labeled_csv(
     parse = int if integer else float
     ids, rows = [], []
     grid, width = None, None
-    with open(path, newline="") as f:
+    with open_text(path) as f:
         reader = csv.reader(f)
         for row in reader:
             line = reader.line_num

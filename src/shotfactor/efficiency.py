@@ -46,14 +46,6 @@ class AdjustedLoadings:
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise ValueError("bases rows must sum to 1 within 1e-9")
 
-    @property
-    def n_players(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.bases.shape[0]
-
 
 @dataclass(eq=False)
 class EfficiencyModel:
@@ -146,30 +138,19 @@ def sample_shot_types(cum: np.ndarray, totals: np.ndarray, rng) -> np.ndarray:
     return backend.draw_type_indices(cum, totals, rng.random(len(totals)))
 
 
-def gibbs_sigma_update(beta_col: np.ndarray, beta0_k: float, a: float, b: float, rng) -> float:
-    """Conjugate variance draw given the player logits of one type.
+def gibbs_sigma_update(beta: np.ndarray, beta0, a: float, b: float, rng):
+    """Conjugate variance draws given the player logits (N x K) and the K
+    global means, one per type in column order.
 
     Inverse-Gamma(a + N/2, b + half the squared deviations from the mean),
-    realized as the reciprocal of a Gamma draw.
+    realized as the reciprocal of one Gamma draw over all K types.  A
+    column of N logits with a scalar mean gives one float.
     """
-    beta_col = np.asarray(beta_col, dtype=np.float64)
-    shape = a + beta_col.size / 2.0
-    rate = b + 0.5 * float(((beta_col - beta0_k) ** 2).sum())
+    beta = np.asarray(beta, dtype=np.float64)
+    shape = a + beta.shape[0] / 2.0
+    # one contiguous row per type, so each sum adds in the order of a column
+    rate = b + 0.5 * (np.ascontiguousarray((beta - beta0).T) ** 2).sum(axis=-1)
     return 1.0 / rng.gamma(shape, 1.0 / rate)
-
-
-def _stack(beta0, beta):
-    return np.concatenate([beta0, beta.ravel()])
-
-
-def _unstack(stacked, n, k):
-    return stacked[:k], stacked[k:].reshape(n, k)
-
-
-def _prior_draw(n, k, sigma2, rng):
-    nu0 = rng.normal(0.0, np.sqrt(SIGMA0_SQ), size=k)
-    nu = nu0[None, :] + rng.normal(0.0, np.sqrt(sigma2)[None, :], size=(n, k))
-    return _stack(nu0, nu)
 
 
 def gibbs_beta_step(
@@ -195,10 +176,11 @@ def gibbs_beta_step(
     def loglik(stacked):
         return backend.bernoulli_logits_loglik(attempts64, stacked[k:])
 
-    aux = _prior_draw(n, k, sigma2, rng)
-    stacked, cur = ess_update(_stack(beta0, beta), aux, loglik, rng, linear=linear)
-    beta0, beta = _unstack(stacked, n, k)
-    return beta0, beta, cur
+    nu0 = rng.normal(0.0, np.sqrt(SIGMA0_SQ), size=k)
+    nu = nu0 + rng.normal(0.0, np.sqrt(sigma2), size=(n, k))
+    state, aux = np.concatenate([beta0, beta.ravel()]), np.concatenate([nu0, nu.ravel()])
+    stacked, cur = ess_update(state, aux, loglik, rng, linear=linear)
+    return stacked[:k], stacked[k:].reshape(n, k), cur
 
 
 def fit_efficiency(
@@ -213,9 +195,9 @@ def fit_efficiency(
     The loadings are fixed, so each shot's type posterior is built once.
     Per sweep: resample every shot's latent type, aggregate outcomes to
     per-player, per-type make/attempt counts, slice-update the logit block,
-    then draw each type variance.  Posterior means are taken over the sweeps
-    after burn-in, including the mean of the per-logit make probabilities
-    (which differs from the probability at the mean logit).
+    then draw the K type variances in one call.  Posterior means are taken
+    over the sweeps after burn-in, including the mean of the per-logit make
+    probabilities (which differs from the probability at the mean logit).
     """
     config = config or EfficiencyConfig()
     players = np.ascontiguousarray(players, dtype=np.int64)
@@ -223,7 +205,7 @@ def fit_efficiency(
     made = np.ascontiguousarray(made, dtype=np.int64)
     if players.size == 0:
         raise ValueError("no shots to fit")
-    n, k = loadings.n_players, loadings.k
+    n, k = loadings.weights.shape
     if players.min() < 0 or players.max() >= n:
         raise ValueError("shot references a player without loadings")
     # stream tag 4: the Gibbs chain stays disjoint from other stages
@@ -250,7 +232,6 @@ def fit_efficiency(
 
     beta0_trace = np.empty((config.sweeps, k))
     sigma2_trace = np.empty((config.sweeps, k))
-    kept = 0
     beta0_sum = np.zeros(k)
     beta_sum = np.zeros((n, k))
     sigma2_sum = np.zeros(k)
@@ -260,17 +241,16 @@ def fit_efficiency(
         types = sample_shot_types(cum, totals, rng)
         makes, attempts = backend.aggregate_outcomes(players, types, made, n, k)
         beta0, beta, _ = gibbs_beta_step(beta0, beta, sigma2, makes, attempts, rng)
-        for j in range(k):
-            sigma2[j] = gibbs_sigma_update(beta[:, j], beta0[j], PRIOR_A, PRIOR_B, rng)
+        sigma2 = gibbs_sigma_update(beta, beta0, PRIOR_A, PRIOR_B, rng)
         beta0_trace[sweep] = beta0
         sigma2_trace[sweep] = sigma2
         if sweep >= config.burn_in:
-            kept += 1
             beta0_sum += beta0
             beta_sum += beta
             sigma2_sum += sigma2
             prob_sum += backend.expit(beta)
 
+    kept = config.sweeps - config.burn_in
     model = EfficiencyModel(
         beta0=beta0_sum / kept,
         sigma2=sigma2_sum / kept,

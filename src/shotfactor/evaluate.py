@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import log_factorial
-from .court import CountMatrix, check_number
+from .court import CountMatrix, check_number, open_text
 from .nmf import COUNT_JITTER, NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
 EPS = 1e-12
@@ -30,13 +30,11 @@ SURFACE_LOSSES = {"nmf_kl": "kl", "nmf_frobenius": "frobenius"}
 @dataclass
 class EvalConfig:
     fraction: float = 0.1
-    seed: int = 0
     nmf: NmfConfig = field(default_factory=NmfConfig)
     models: tuple = MODEL_NAMES
 
     def __post_init__(self):
         check_number("fraction", self.fraction, 0, 1, strict=True)
-        check_number("seed", self.seed, 0, integer=True)
         unknown = set(self.models) - set(MODEL_NAMES)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
@@ -147,6 +145,9 @@ def compare_surfaces(
     players = cm_train.players
     area = grid.tile_area
     k_star = np.inf if truth_bases is None else truth_bases.shape[0]
+    if "pca" in config.models and len(players) < 2:
+        n = len(players)
+        raise ValueError(f"the pca baseline needs at least 2 players, got {n}")
 
     def unit_rows(matrix):  # clamped: an empty or negative tile still scores
         return grid.unit_volume(np.maximum(matrix, EPS))
@@ -178,7 +179,7 @@ def compare_surfaces(
         entries=entries,
         players=players,
         fraction=config.fraction,
-        seed=config.seed,
+        seed=config.nmf.seed,
         recovery=recovery,
     )
 
@@ -193,14 +194,14 @@ def write_eval_report(paths, report: EvalReport) -> None:
     the order of ``paths``; the summary names the per-player file."""
     summary_path, per_player_path, text_path = paths
 
-    with open(per_player_path, "w", newline="") as f:
+    with open_text(per_player_path, "w") as f:
         writer = csv.writer(f)
         writer.writerow(["model", "k", "player", "loglik"])
         for e in report.entries:
             for player, value in zip(report.players, e.per_player):
                 writer.writerow([e.model, e.k, player, repr(float(value))])
 
-    with open(summary_path, "w", newline="") as f:
+    with open_text(summary_path, "w") as f:
         writer = csv.writer(f)
         writer.writerow(["model", "k", "mean", "stderr", "per_player_file"])
         for e in report.entries:
@@ -214,7 +215,7 @@ def write_eval_report(paths, report: EvalReport) -> None:
                 ]
             )
 
-    with open(text_path, "w") as f:
+    with open_text(text_path, "w") as f:
         f.write(
             f"held-out log-likelihood (fraction={report.fraction}, "
             f"seed={report.seed}, {len(report.players)} players)\n"

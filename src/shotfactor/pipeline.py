@@ -25,6 +25,7 @@ from .court import (
     CourtGrid,
     build_count_matrix,
     check_number,
+    open_text,
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
@@ -129,9 +130,7 @@ class PipelineConfig:
         )
 
     def eval_config(self) -> EvalConfig:
-        return EvalConfig(
-            fraction=self.fraction, seed=self.seed, nmf=self.nmf_config()
-        )
+        return EvalConfig(fraction=self.fraction, nmf=self.nmf_config())
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
@@ -148,7 +147,7 @@ class PipelineConfig:
 def parse_config_file(path) -> dict:
     """Read `key = value` lines; values are JSON fragments or bare strings."""
     mapping: dict = {}
-    with open(path) as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -206,7 +205,7 @@ class StageRunner:
         self.keys = {}  # stage name -> key in this run
         self.sums = {}  # path -> SHA-256, each file read at most once a run
         try:
-            with open(self.state_path) as f:
+            with open_text(self.state_path) as f:
                 old = dict(json.load(f))
         except (OSError, ValueError, TypeError):
             old = {}
@@ -331,7 +330,7 @@ def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
     cm_train = read_count_csv(train_path)
     cm_test = read_count_csv(test_path)
     players, surfaces, _ = read_labeled_csv(surfaces_path)
-    with open(meta_path) as f:
+    with open_text(meta_path) as f:
         volumes_map = json.load(f)["volumes"]
     volumes = np.array([volumes_map[player] for player in players])
     truth_bases = None

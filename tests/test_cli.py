@@ -549,6 +549,44 @@ class TestStageCommands:
         assert main(argv) == STAGE_CODES["ingest"]
         assert "shots.csv:3:" in capsys.readouterr().err
 
+    def test_ingest_reads_utf8_under_an_ascii_locale(self, tmp_path):
+        """Shot files are UTF-8 whatever the locale: a file with a
+        byte-order mark and a non-ASCII id ingests under LC_ALL=C, and the
+        id is written back as UTF-8."""
+        rows = "".join(f"Jokić,{1 + i % 30},{2 + i % 40},{i % 2}\n" for i in range(40))
+        shots = tmp_path / "shots.csv"
+        shots.write_bytes(("\ufeffplayer,x,y,made\n" + rows).encode("utf-8"))
+        config_path = _write_config(str(tmp_path), shots=str(shots))
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUTF8": "0"}
+        env.update(LC_ALL="C", LANG="C")
+        argv = ["ingest", "--config", config_path, "--out", str(tmp_path / "out")]
+        result = subprocess.run(
+            [sys.executable, "-m", "shotfactor", *argv], env=env, capture_output=True
+        )
+        assert result.returncode == 0, result.stderr
+        train = (tmp_path / "out" / "shots_train.csv").read_bytes()
+        assert train.count("Jokić,".encode("utf-8")) == 36
+
+    def test_latin1_shots_fail_ingest_naming_the_file(self, tmp_path, capsys):
+        shots = tmp_path / "latin1_shots.csv"
+        shots.write_bytes("player,x,y,made\nMüller,1.0,2.0,1\n".encode("latin-1"))
+        config_path = _write_config(str(tmp_path), shots=str(shots))
+        argv = ["ingest", "--config", config_path, "--out", str(tmp_path / "out")]
+        assert main(argv) == STAGE_CODES["ingest"]
+        assert "latin1_shots.csv: not UTF-8 text" in capsys.readouterr().err
+
+    def test_one_player_cohort_fails_evaluate_with_reason(self, tmp_path, capsys):
+        """A cohort that keeps one player runs every stage up to evaluate,
+        whose PCA baseline needs two."""
+        rows = "".join(f"p{i % 16 // 15},{i % 30},{i % 40},{i % 2}\n" for i in range(240))
+        shots = tmp_path / "shots.csv"
+        shots.write_text("player,x,y,made\n" + rows)
+        config_path = _write_config(str(tmp_path), shots=str(shots), k_list=[1])
+        argv = ["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]
+        assert main([*argv, "--k", "1"]) == STAGE_CODES["evaluate"]
+        err = capsys.readouterr().err
+        assert "the pca baseline needs at least 2 players, got 1" in err
+
 
 class TestPipelineCommand:
     def _run(self, workspace, out_dir):

@@ -1,11 +1,14 @@
 """Court geometry, shot tiling, count-matrix assembly, and the
 per-player holdout split."""
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shotfactor import court
 from shotfactor.court import (
     CountMatrix,
     CourtGrid,
@@ -347,6 +350,52 @@ class TestShotCsvRoundTrip:
         path.write_text("player,x,y,made\np1,1.0,2.0,2\n")
         with pytest.raises(ValueError, match=r"shots\.csv:2: made must be 0 or 1, got 2"):
             read_shot_csv(path)
+
+
+    def test_byte_order_mark_and_non_ascii_id_read(self, tmp_path):
+        """A spreadsheet's UTF-8 export starts with a byte-order mark; it is
+        not part of the first column's name."""
+        path = tmp_path / "shots.csv"
+        path.write_bytes("\ufeffplayer,x,y,made\nJokić,1.0,2.0,1\n".encode("utf-8"))
+        assert read_shot_csv(path).players.tolist() == ["Jokić"]
+
+    def test_latin1_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        text = "player,x,y,made\np1,1.0,2.0,1\nMüller,1.0,2.0,0\n"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match=r"shots\.csv: not UTF-8 text"):
+            read_shot_csv(path)
+
+
+def test_every_text_open_goes_through_open_text():
+    """One helper decides how the package encodes text files: any other
+    ``open`` is binary, or cli's read of ``/proc/self/maps``."""
+    helper = next(
+        node
+        for node in ast.walk(ast.parse(Path(court.__file__).read_text("utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "open_text"
+    )
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    offenders = []
+    for path in sorted(Path(court.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "open":
+                continue
+            args = {i: a for i, a in enumerate(node.args)}
+            args.update({k.arg: k.value for k in node.keywords})
+            mode = args.get(1, args.get("mode"))
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            target = args.get(0, args.get("file"))
+            maps = getattr(target, "value", None) == "/proc/self/maps"
+            if path.name == "cli.py" and maps:
+                continue
+            if not (path.name == "court.py" and node.lineno in inside):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 class TestCountCsvRoundTrip:

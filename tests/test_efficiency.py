@@ -79,7 +79,7 @@ class TestAdjustWeights:
         weights = np.array([[1.0, 5.0], [2.0, 7.0]])
         with pytest.warns(UserWarning, match="zero-mass"):
             adj = adjust_weights(weights, bases)
-        assert adj.k == 1
+        assert adj.bases.shape == (1, 8)
         np.testing.assert_allclose(adj.weights, [[1.0], [2.0]])
 
     def test_loadings_validate_row_sums(self):
@@ -222,6 +222,24 @@ class TestGibbsSigmaUpdate:
         for _ in range(200):
             devs = rng.normal(0.0, 2.0, size=int(rng.integers(1, 10)))
             assert gibbs_sigma_update(devs, 0.0, 0.1, 0.1, rng) > 0.0
+
+
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_matrix_call_equals_column_calls(self, k):
+        """One N x K call gives the K one-column draws bit for bit, and
+        leaves the stream where the K column calls leave it."""
+        beta = np.random.default_rng(k).normal(0.0, 1.0, size=(37, k))
+        beta0 = np.linspace(-0.5, 0.5, k)
+        rng_matrix, rng_columns = np.random.default_rng(9), np.random.default_rng(9)
+        drawn = gibbs_sigma_update(beta, beta0, 0.1, 0.1, rng_matrix)
+        by_column = [
+            gibbs_sigma_update(beta[:, j], beta0[j], 0.1, 0.1, rng_columns)
+            for j in range(k)
+        ]
+        assert all(isinstance(d, float) for d in by_column)
+        assert drawn.shape == (k,)
+        assert drawn.tolist() == by_column
+        assert rng_matrix.random() == rng_columns.random()
 
 
 class TestGibbsBetaStep:

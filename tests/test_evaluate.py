@@ -173,10 +173,8 @@ def report_and_truth():
     truth[0, (centers[:, 0] < 5) & (centers[:, 1] < 4)] = 1.0
     truth[1, (centers[:, 0] > 5) & (centers[:, 1] > 4)] = 1.0
     truth /= truth.sum(axis=1, keepdims=True) * grid.tile_area
-    config = EvalConfig(
-        fraction=0.2, seed=0, nmf=NmfConfig(max_iters=400, restarts=2, seed=0)
-    )
-    train, test = split_holdout(shots, config.fraction, config.seed)
+    config = EvalConfig(fraction=0.2, nmf=NmfConfig(max_iters=400, restarts=2, seed=0))
+    train, test = split_holdout(shots, config.fraction, config.nmf.seed)
     cm_train = build_count_matrix(train, grid, min_attempts=20)
     cm_test = build_count_matrix(test, grid, min_attempts=0, players=cm_train.players)
     factor = build_cov_factor(grid, KernelHyper(variance=1.0, length_scale=2.0))
@@ -275,6 +273,33 @@ class TestRunComparison:
         report, _ = report_and_truth
         with pytest.raises(KeyError):
             report.entry("lgcp", 99)
+
+    def _one_player(self, models):
+        grid = CourtGrid(width=4.0, length=5.0, tile_size=(1.0, 1.0))
+        counts = CountMatrix(np.ones((1, grid.n_tiles)), ["p0"], grid)
+        unit = np.full((1, grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
+        config = EvalConfig(nmf=NmfConfig(seed=7, restarts=1), models=models)
+        return compare_surfaces(counts, counts, unit, np.array([20.0]), [1], config)
+
+    def test_one_player_fails_before_any_fit(self, monkeypatch):
+        """PCA needs two players to find one component; with fewer the
+        comparison stops before fitting anything, and names the reason."""
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the player check")
+
+        monkeypatch.setattr("shotfactor.evaluate.fit_nmf", no_fit)
+        message = "the pca baseline needs at least 2 players, got 1"
+        with pytest.raises(ValueError, match=message):
+            self._one_player(MODEL_NAMES)
+        assert len(self._one_player(("lgcp",)).entries) == 1
+
+    def test_report_header_gives_the_fit_seed(self, tmp_path):
+        """The text report's seed is the one the NMF fits ran with."""
+        paths = [tmp_path / n for n in ("summary.csv", "players.csv", "report.txt")]
+        write_eval_report(paths, self._one_player(("lgcp",)))
+        header = paths[2].read_text().splitlines()[0]
+        assert "seed=7," in header
 
     def test_config_validation(self):
         """Fractions and model names are checked up front."""
