@@ -84,10 +84,10 @@ def draw_type_indices(cum, totals, uniforms):
     return draws
 
 
-def sq_exp_matrix(cx, cy, variance, length_scale):
-    """Dense squared-exponential covariance over points (cx, cy)."""
-    d2 = (cx[:, None] - cx[None, :]) ** 2 + (cy[:, None] - cy[None, :]) ** 2
-    return variance * np.exp(-0.5 * d2 / length_scale**2)
+def sq_exp_matrix(points, length_scale):
+    """Unit-variance squared-exponential kernel over 1-D points."""
+    d2 = (points[:, None] - points[None, :]) ** 2
+    return np.exp(-0.5 * d2 / length_scale**2)
 
 
 def aggregate_outcomes(players, types, made, n_players, n_types):

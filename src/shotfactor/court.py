@@ -310,13 +310,11 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
 
 
 def _grid_header(grid: CourtGrid) -> str:
-    tx, ty = grid.tile_size
-    if tx == ty:
-        return f"# grid {repr(grid.width)} {repr(grid.length)} {repr(tx)}"
-    return f"# grid {repr(grid.width)} {repr(grid.length)} {repr(tx)} {repr(ty)}"
+    return "# grid " + " ".join(map(repr, (grid.width, grid.length, *grid.tile_size)))
 
 
 def _parse_grid_header(line: str) -> CourtGrid:
+    """Read ``# grid width length tile_x tile_y``, or ``tile_x`` alone for both."""
     parts = line.strip().split()
     if len(parts) not in (5, 6) or parts[0] != "#" or parts[1] != "grid":
         raise ValueError(f"malformed grid header: {line!r}")
@@ -391,12 +389,21 @@ def read_labeled_csv(
     return ids, matrix, grid
 
 
+def read_tile_csv(path, grid: CourtGrid | None = None, integer: bool = False):
+    """Read a tile-wide file (one value per tile a row) as read_labeled_csv
+    does; it must start with a grid header, equal to ``grid`` when given."""
+    ids, matrix, found = read_labeled_csv(path, integer)
+    if found is None or (grid is not None and found != grid):
+        problem = "missing grid header" if found is None else f"grid {found}"
+        expected = "" if grid is None else f", expected {grid}"
+        raise ValueError(f"{path}:1: {problem}{expected}")
+    return ids, matrix, found
+
+
 def write_count_csv(path, cm: CountMatrix) -> None:
     write_labeled_csv(path, cm.players, cm.counts, cm.grid)
 
 
 def read_count_csv(path) -> CountMatrix:
-    players, counts, grid = read_labeled_csv(path, integer=True)
-    if grid is None:
-        raise ValueError(f"{path}:1: missing grid header")
+    players, counts, grid = read_tile_csv(path, integer=True)
     return CountMatrix(counts, players, grid)

@@ -52,10 +52,7 @@ def build_cov_factor(grid: CourtGrid, hyper: KernelHyper) -> CovFactor:
     factorization retries with jitter scaled by 10, up to 3 times.
     """
     xs, ys = grid.axis_centers()
-    kernels = [
-        backend.sq_exp_matrix(axis, np.zeros(len(axis)), 1.0, hyper.length_scale)
-        for axis in (ys, xs)
-    ]
+    kernels = [backend.sq_exp_matrix(axis, hyper.length_scale) for axis in (ys, xs)]
     current = 1e-6 * hyper.variance
     for attempt in range(4):
         try:

@@ -4,11 +4,10 @@ baseline.  Both losses use the classic multiplicative updates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .court import check_number, write_json, write_labeled_csv
+from .court import CourtGrid, check_number, write_json, write_labeled_csv
 
 EPS_FLOOR = 1e-12
 
@@ -223,12 +222,12 @@ def pca_reconstruct(model: PcaModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_factor_model(paths, model: FactorModel, players: Sequence[str]) -> None:
-    """Write the weights CSV, the bases CSV and the JSON manifest, in the
-    order of ``paths``."""
+def write_factor_model(paths, model: FactorModel, players, grid: CourtGrid) -> None:
+    """Write the weights CSV, the bases CSV under ``grid``'s header and the
+    JSON manifest, in the order of ``paths``."""
     w_path, b_path, m_path = paths
     write_labeled_csv(w_path, players, model.weights)
-    write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases)
+    write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases, grid)
     manifest = {
         "loss": model.loss,
         "k": model.k,

@@ -29,6 +29,7 @@ from .court import (
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
+    read_tile_csv,
     split_holdout,
     tile_indices,
     write_count_csv,
@@ -145,8 +146,10 @@ class PipelineConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Read `key = value` lines; values are JSON fragments or bare strings."""
+    """Read `key = value` lines; values are JSON fragments or bare strings.
+    A key given twice raises ValueError naming both lines."""
     mapping: dict = {}
+    set_on: dict = {}  # key -> line that set it
     with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.strip()
@@ -156,6 +159,11 @@ def parse_config_file(path) -> dict:
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = key.strip(), value.strip()
+            if key in set_on:
+                raise ValueError(
+                    f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}"
+                )
+            set_on[key] = lineno
             try:
                 mapping[key] = json.loads(value)
             except json.JSONDecodeError:
@@ -301,16 +309,16 @@ def stage_lgcp(inputs, outputs, lgcp: LgcpConfig):
 
 def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
     (surfaces_path,) = inputs
-    players, matrix, _ = read_labeled_csv(surfaces_path)
-    write_factor_model(outputs, fit_nmf(matrix, k, loss=loss, config=nmf), players)
+    players, matrix, grid = read_tile_csv(surfaces_path)
+    write_factor_model(outputs, fit_nmf(matrix, k, loss, nmf), players, grid)
 
 
-def stage_efficiency(inputs, outputs, grid: CourtGrid, efficiency: EfficiencyConfig):
-    """Fit the outcome model on the factors and the training shots."""
+def stage_efficiency(inputs, outputs, efficiency: EfficiencyConfig):
+    """Fit the outcome model on the factors and training shots, on B's court."""
     w_path, b_path, shots_path = inputs
     beta_path, global_path, surfaces_path = outputs
     players, weights, _ = read_labeled_csv(w_path)
-    _, bases, _ = read_labeled_csv(b_path)
+    _, bases, grid = read_tile_csv(b_path)
     loadings = adjust_weights(weights, bases)
     shots = read_shot_csv(shots_path, grid)
     idx = shots.player_rows(players)
@@ -329,16 +337,13 @@ def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
     train_path, test_path, surfaces_path, meta_path, truth_path = inputs
     cm_train = read_count_csv(train_path)
     cm_test = read_count_csv(test_path)
-    players, surfaces, _ = read_labeled_csv(surfaces_path)
+    players, surfaces, _ = read_tile_csv(surfaces_path, cm_train.grid)
     with open_text(meta_path) as f:
         volumes_map = json.load(f)["volumes"]
     volumes = np.array([volumes_map[player] for player in players])
     truth_bases = None
     if os.path.exists(truth_path):
-        _, truth_bases, truth_grid = read_labeled_csv(truth_path)
-        if truth_grid != cm_train.grid:
-            found = "no grid header" if truth_grid is None else f"grid {truth_grid}"
-            raise ValueError(f"{truth_path}:1: {found}, expected {cm_train.grid}")
+        _, truth_bases, _ = read_tile_csv(truth_path, cm_train.grid)
     report = compare_surfaces(
         cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth_bases
     )
@@ -411,7 +416,7 @@ STAGES = (
         13,
         FACTORS + ("shots_train.csv",),
         ("efficiency_beta.csv", "efficiency_global.csv", "efficiency_surfaces.csv"),
-        lambda c: [c.grid(), c.efficiency_config()],
+        lambda c: [c.efficiency_config()],
         stage_efficiency,
     ),
     Stage(

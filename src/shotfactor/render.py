@@ -8,10 +8,11 @@ which keeps image artifacts usable in byte-comparison tests.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
-from .court import CourtGrid, read_labeled_csv
+from .court import CourtGrid, read_tile_csv
 
 
 def render_heatmap(values: np.ndarray, grid: CourtGrid, path) -> None:
@@ -37,16 +38,14 @@ def render_heatmap(values: np.ndarray, grid: CourtGrid, path) -> None:
 
 
 def render_surface_csv(csv_path, out_dir) -> list:
-    """Render every row of a shared-format surface CSV to <out>/<id>.pgm,
-    with ``_`` for unsafe characters; an empty id (which would name the
-    hidden file ``.pgm``) and ids sharing a file name raise ValueError before
-    anything is written."""
-    ids, matrix, grid = read_labeled_csv(csv_path)
-    if grid is None:
-        raise ValueError(f"{csv_path}:1: missing grid header")
+    """Render every row of a tile-wide CSV to <out>/<id>.pgm, with ``_`` for
+    all but ASCII letters, digits, ``-`` and ``_``; an empty id (which would
+    name the hidden file ``.pgm``) and ids sharing a file name raise
+    ValueError before anything is written."""
+    ids, matrix, grid = read_tile_csv(csv_path)
     owner = {}
     for line, name in enumerate(ids, start=2):
-        safe = "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
+        safe = re.sub(r"[^A-Za-z0-9_-]", "_", name)
         if not safe:
             raise ValueError(f"{csv_path}:{line}: empty id would name the image .pgm")
         if safe in owner:

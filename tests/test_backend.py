@@ -211,19 +211,18 @@ class TestDrawTypeIndices:
 class TestSqExpMatrix:
     def test_matches_direct_expression(self):
         rng = np.random.default_rng(23)
-        cx = rng.uniform(0, 35, size=40)
-        cy = rng.uniform(0, 50, size=40)
-        got = bk.sq_exp_matrix(cx, cy, 1.7, 4.2)
-        d2 = (cx[:, None] - cx[None, :]) ** 2 + (cy[:, None] - cy[None, :]) ** 2
-        expected = 1.7 * np.exp(-0.5 * d2 / 4.2**2)
+        points = rng.uniform(0, 35, size=40)
+        got = bk.sq_exp_matrix(points, 4.2)
+        d2 = (points[:, None] - points[None, :]) ** 2
+        expected = np.exp(-0.5 * d2 / 4.2**2)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_symmetric_with_variance_diagonal(self):
         rng = np.random.default_rng(29)
-        cx, cy = rng.uniform(0, 10, size=(2, 25))
-        k = bk.sq_exp_matrix(cx, cy, 2.5, 3.0)
+        points = rng.uniform(0, 10, size=25)
+        k = bk.sq_exp_matrix(points, 3.0)
         np.testing.assert_allclose(k, k.T, rtol=0, atol=0)
-        np.testing.assert_allclose(np.diag(k), 2.5, rtol=1e-14)
+        np.testing.assert_allclose(np.diag(k), 1.0, rtol=1e-14)
 
 
 class TestAggregateOutcomes:

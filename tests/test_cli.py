@@ -54,11 +54,15 @@ out = {out}
 
 
 def _write_config(dir_path, **overrides):
+    """Write the template with ``shots``/``out`` filled in; each other
+    override replaces its key's template line, or is appended after them."""
     shots = overrides.pop("shots", os.path.join(dir_path, "data", "shots.csv"))
     out = overrides.pop("out", os.path.join(dir_path, "artifacts"))
     text = CONFIG_TEMPLATE.format(shots=shots, out=out)
     for key, value in overrides.items():
-        text += f"{key} = {value}\n"
+        line = f"{key} = {value}\n"
+        text, found = re.subn(rf"(?m)^{key} = .*\n", lambda _: line, text)
+        text += "" if found else line
     path = os.path.join(dir_path, "config.txt")
     with open(path, "w") as f:
         f.write(text)
@@ -133,6 +137,23 @@ class TestConfigParsing:
         path.write_text("seed 12\n")
         with pytest.raises(ValueError, match=":1:"):
             parse_config_file(path)
+
+    def test_key_given_twice_exits_one_before_any_stage(
+        self, workspace, tmp_path, capsys
+    ):
+        """A key set on two lines names both, instead of the last value
+        silently winning, and no stage runs."""
+        shots = str(workspace["root"] / "data" / "shots.csv")
+        config_path = _write_config(str(tmp_path), shots=shots)
+        with open(config_path, "a") as f:
+            f.write("k = 4\n")
+        lines = Path(config_path).read_text().splitlines()
+        first, again = lines.index("k = 2") + 1, len(lines)
+        assert main(["pipeline", "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        where = f"{config_path}:{again}"
+        assert err == f"error: {where}: key 'k' already set on line {first}\n"
+        assert not (tmp_path / "artifacts").exists()
 
     def test_unknown_keys_rejected(self):
         """Misspelled config keys fail fast."""
@@ -444,6 +465,21 @@ class TestStageCommands:
         assert "rendered" not in out and "'a/b' and 'a_b'" in err
         assert not (tmp_path / "img").exists()
 
+    def test_render_names_images_in_ascii_under_an_ascii_locale(self, tmp_path):
+        """A non-ASCII id renders under LC_ALL=C: each character but ASCII
+        letters, digits, "-" and "_" becomes "_" in the file name."""
+        grid = PipelineConfig().grid()
+        surfaces = tmp_path / "surfaces.csv"
+        write_labeled_csv(surfaces, ["Jokić"], np.ones((1, grid.n_tiles)), grid)
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUTF8": "0"}
+        env.update(LC_ALL="C", LANG="C")
+        argv = ["render", "--surfaces", str(surfaces), "--out", str(tmp_path / "img")]
+        result = subprocess.run(
+            [sys.executable, "-m", "shotfactor", *argv], env=env, capture_output=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert os.listdir(tmp_path / "img") == ["Joki_.pgm"]
+
     def test_every_stage_command_takes_the_override_flags(
         self, workspace, finished, tmp_path, capsys
     ):
@@ -637,6 +673,57 @@ class TestPipelineCommand:
         named |= {"pipeline_manifest.txt", "pipeline_state.txt"}
         assert sorted(os.listdir(tmp_path)) == sorted(named)
 
+    def test_only_ingest_takes_the_court_from_the_config(self):
+        """After ingest every stage reads the court from its input files'
+        grid headers, so no other stage's views hold a CourtGrid."""
+        config = PipelineConfig()
+        for stage in STAGES:
+            grids = [v for v in stage.views(config) if isinstance(v, CourtGrid)]
+            assert bool(grids) == (stage.name == "ingest"), stage.name
+
+    def test_every_tile_wide_artifact_starts_with_the_grid(self, finished):
+        """Each artifact CSV with one value per tile, the bases included,
+        starts with the four-number grid header; the others have none."""
+        grid = CourtGrid(tile_size=(2.5, 2.0))
+        tile_wide, other = set(), set()
+        for path in finished.glob("*.csv"):
+            first, *_, last = path.read_text().splitlines()
+            if last.count(",") == grid.n_tiles:
+                assert first == "# grid 35.0 50.0 2.5 2.0", path.name
+                tile_wide.add(path.name)
+            else:
+                assert not first.startswith("#"), path.name
+                other.add(path.name)
+        assert tile_wide == {
+            "counts_train.csv",
+            "counts_test.csv",
+            "surfaces.csv",
+            "factors_kl_k2_B.csv",
+            "efficiency_surfaces.csv",
+        }
+        assert {
+            "factors_kl_k2_W.csv",
+            "efficiency_beta.csv",
+            "efficiency_global.csv",
+        } <= other
+
+    def test_render_of_the_bases_writes_one_image_per_basis(
+        self, finished, tmp_path, capsys
+    ):
+        """The bases file carries its court, so render draws each basis as
+        an nx x ny image."""
+        bases = finished / "factors_kl_k2_B.csv"
+        argv = ["render", "--surfaces", str(bases), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "rendered 2 surfaces" in capsys.readouterr().out
+        grid = CourtGrid(tile_size=(2.5, 2.0))
+        header = f"P5\n{grid.nx} {grid.ny}\n255\n".encode()
+        assert sorted(os.listdir(tmp_path)) == ["basis0.pgm", "basis1.pgm"]
+        for name in ("basis0.pgm", "basis1.pgm"):
+            image = (tmp_path / name).read_bytes()
+            assert image.startswith(header)
+            assert len(image) == len(header) + grid.n_tiles
+
     def test_stage_exit_codes_are_fixed(self):
         """Scripted callers tell a failed stage by its exit code."""
         assert STAGE_CODES == {
@@ -724,7 +811,7 @@ class TestPipelineCommand:
         shutil.copytree(finished, tmp_path / "artifacts")
         config_path = _write_config(str(tmp_path), shots=str(data / "shots.csv"))
         assert main(["evaluate", "--config", config_path]) == STAGE_CODES["evaluate"]
-        found = "no grid header" if grid is None else f"grid {grid!r}"
+        found = "missing grid header" if grid is None else f"grid {grid!r}"
         expected = f"expected {CourtGrid(tile_size=(2.5, 2.0))!r}\n"
         assert f"truth_B.csv:1: {found}, {expected}" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from shotfactor.court import (
     read_count_csv,
     read_labeled_csv,
     read_shot_csv,
+    read_tile_csv,
     split_holdout,
     tile_indices,
     write_count_csv,
@@ -415,7 +416,7 @@ class TestCountCsvRoundTrip:
         cm = CountMatrix(np.zeros((1, g.n_tiles), dtype=np.int64), ["a"], g)
         path = tmp_path / "counts.csv"
         write_count_csv(path, cm)
-        assert path.read_text().startswith("# grid 35.0 50.0 5.0\n")
+        assert path.read_text().startswith("# grid 35.0 50.0 5.0 5.0\n")
         assert read_count_csv(path).grid == g
 
     def test_square_tile_header_reads_as_the_config_grid(self, tmp_path):
@@ -440,13 +441,13 @@ class TestLabeledCsvGoldenBytes:
     def test_counts(self, tmp_path):
         path = tmp_path / "c.csv"
         write_count_csv(path, CountMatrix(np.array([[0, 3], [12, 1]]), ["a", "b"], TWO))
-        assert path.read_bytes() == b"# grid 2.0 1.0 1.0\na,0,3\r\nb,12,1\r\n"
+        assert path.read_bytes() == b"# grid 2.0 1.0 1.0 1.0\na,0,3\r\nb,12,1\r\n"
 
     def test_surfaces_square_header(self, tmp_path):
         path = tmp_path / "s.csv"
         write_labeled_csv(path, ["p0", "global"], SURFACE_ROWS, TWO)
         assert path.read_bytes() == (
-            b"# grid 2.0 1.0 1.0\n"
+            b"# grid 2.0 1.0 1.0 1.0\n"
             b"p0,0.1,0.3333333333333333\r\nglobal,2.5e-300,-0.0\r\n"
         )
 
@@ -468,10 +469,10 @@ class TestLabeledCsvGoldenBytes:
             n_iters=3,
         )
         paths = [tmp_path / "f_W.csv", tmp_path / "f_B.csv", tmp_path / "f.txt"]
-        write_factor_model(paths, model, ["a", "b"])
+        write_factor_model(paths, model, ["a", "b"], TWO)
         assert paths[0].read_bytes() == b"a,0.5,1.25\r\nb,3.0,1e-12\r\n"
         assert paths[1].read_bytes() == (
-            b"basis0,0.1,0.9\r\nbasis1,0.75,0.25\r\n"
+            b"# grid 2.0 1.0 1.0 1.0\nbasis0,0.1,0.9\r\nbasis1,0.75,0.25\r\n"
         )
 
     def test_efficiency_beta_and_global(self, tmp_path):
@@ -579,6 +580,20 @@ class TestLabeledCsvReader:
         path.write_text("a,1,2\n")
         with pytest.raises(ValueError, match=r"counts\.csv:1: missing grid header"):
             read_count_csv(path)
+
+    def test_tile_csv_on_another_grid_names_both(self, tmp_path):
+        path = self._counts_file(tmp_path)
+        other = CourtGrid(width=1.0, length=2.0, tile_size=(1.0, 1.0))
+        with pytest.raises(ValueError) as exc:
+            read_tile_csv(path, other, integer=True)
+        assert str(exc.value) == f"{path}:1: grid {TWO}, expected {other}"
+
+    def test_tile_csv_without_header_names_the_expected_grid(self, tmp_path):
+        path = tmp_path / "b.csv"
+        write_labeled_csv(path, ["basis0"], SURFACE_ROWS[:1])
+        with pytest.raises(ValueError) as exc:
+            read_tile_csv(path, TWO)
+        assert str(exc.value) == f"{path}:1: missing grid header, expected {TWO}"
 
     def test_malformed_grid_header_names_line_one(self, tmp_path):
         path = tmp_path / "s.csv"

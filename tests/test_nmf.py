@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import entropy
 
-from shotfactor.court import read_labeled_csv
+from shotfactor.court import CourtGrid, read_labeled_csv
 from shotfactor.nmf import (
     CHECK_EVERY,
     EPS_FLOOR,
@@ -456,15 +456,17 @@ class TestFactorModelIO:
         model = fit_nmf(lam, 2, "kl", NmfConfig(restarts=2, seed=3))
         players = [f"p{i}" for i in range(5)]
         paths = [tmp_path / name for name in ("w.csv", "b.csv", "manifest.txt")]
-        write_factor_model(paths, model, players)
+        grid = CourtGrid(width=4.0, length=2.0, tile_size=(1.0, 1.0))
+        write_factor_model(paths, model, players, grid)
         back_players, weights, _ = read_labeled_csv(paths[0])
-        basis_ids, bases, _ = read_labeled_csv(paths[1])
+        basis_ids, bases, back_grid = read_labeled_csv(paths[1])
         with open(paths[2]) as f:
             meta = json.load(f)
         assert back_players == players
         assert basis_ids == ["basis0", "basis1"]
         np.testing.assert_array_equal(weights, model.weights)
         np.testing.assert_array_equal(bases, model.bases)
+        assert back_grid == grid
         assert meta["loss"] == model.loss and meta["k"] == 2
         assert meta["final_loss"] == model.final_loss
         assert meta["iterations"] == model.n_iters
