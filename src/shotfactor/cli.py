@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Every subcommand shares --config/--seed/--out, and every one that runs
-stages also --shots/--k/--loss/--restarts; flags beat config-file keys, and
---out beats the config's output directory.
+stages also --shots/--k/--loss/--restarts; flags beat config-file keys.
+``synth`` writes into --out, else into the directory of the config's shots.
 
 ``pipeline`` runs every stage; each stage subcommand (``ingest``,
 ``fit-lgcp``, ``factorize``, ``fit-efficiency``, ``evaluate``) runs its
@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import os
 import sys
 
 from .nmf import LOSSES
-from .pipeline import StageError, load_config, run_pipeline
+from .pipeline import PipelineConfig, StageError, load_config, run_pipeline
 from .render import render_surface_csv
 from .synth import generate_dataset
 
@@ -97,19 +98,17 @@ def one_blas_thread():
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="artifact directory")
+    parser.add_argument("--out", help="output directory")
 
 
-def _resolve(args, **extra):
-    overrides = {k: v for k, v in extra.items() if v is not None}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = load_config(args.config, overrides)
-    return config, args.out or config.out
+def _resolve(args, **extra) -> PipelineConfig:
+    extra.update(seed=args.seed, out=args.out)
+    return load_config(args.config, {k: v for k, v in extra.items() if v is not None})
 
 
 def cmd_synth(args) -> int:
-    config, out_dir = _resolve(args)
+    config = _resolve(args)
+    out_dir = args.out or os.path.dirname(config.shots) or "."
     files = generate_dataset(config.synth_config(), out_dir)
     for name, path in sorted(files.items()):
         print(f"{name}: {path}")
@@ -117,18 +116,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_render(args) -> int:
-    config, out_dir = _resolve(args)
-    paths = render_surface_csv(args.surfaces, out_dir)
-    print(f"rendered {len(paths)} surfaces into {out_dir}")
+    config = _resolve(args)
+    paths = render_surface_csv(args.surfaces, config.out)
+    print(f"rendered {len(paths)} surfaces into {config.out}")
     return 0
 
 
 def cmd_run(args) -> int:
     """Run the pipeline, or one stage after the stages it reads from."""
-    config, out_dir = _resolve(
+    config = _resolve(
         args, shots=args.shots, k=args.k, loss=args.loss, restarts=args.restarts
     )
-    written = run_pipeline(config, out_dir, stage=args.stage)
+    written = run_pipeline(config, config.out, stage=args.stage)
     print(f"{args.command} complete: {', '.join(written)}")
     return 0
 

@@ -70,7 +70,7 @@ class CourtGrid:
 
     width: float = 35.0
     length: float = 50.0
-    tile_size: tuple[float, float] = (1.0, 1.0)
+    tile_size: tuple[float, float] = (2.5, 2.0)
 
     def __post_init__(self):
         check_number("width", self.width, 0, strict=True)
@@ -195,7 +195,7 @@ def _require_on_court(xs, ys, grid: CourtGrid, where=lambda i: "") -> None:
 def build_count_matrix(
     shots: ShotTable,
     grid: CourtGrid,
-    min_attempts: int = 50,
+    min_attempts: int = 0,
     players: Sequence[str] | None = None,
 ) -> CountMatrix:
     """Assemble the players-by-tiles count matrix.

@@ -17,7 +17,7 @@ class KernelHyper:
     """Marginal variance and length-scale (feet) of the smoothness prior."""
 
     variance: float = 1.0
-    length_scale: float = 5.0
+    length_scale: float = 4.0
 
     def __post_init__(self):
         check_number("variance", self.variance, 0, strict=True)

@@ -132,7 +132,7 @@ def _init_factors(target, k, rng):
     return w * scale, b * scale
 
 
-def fit_nmf(data, k: int, loss: str = "kl", config: NmfConfig | None = None) -> FactorModel:
+def fit_nmf(data, k: int, loss: str = LOSSES[0], config: NmfConfig | None = None) -> FactorModel:
     """Factorize a non-negative matrix, keeping the best of several restarts.
 
     Iterates the per-loss multiplicative update and evaluates the loss every

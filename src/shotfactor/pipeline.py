@@ -53,33 +53,34 @@ from .synth import SynthConfig
 
 @dataclass
 class PipelineConfig:
-    """Flat bag of every knob the pipeline and its subcommands accept."""
+    """Flat bag of every knob the pipeline and its subcommands accept; each
+    component knob defaults to its component config's own default."""
 
-    width: float = 35.0
-    length: float = 50.0
-    tile_x: float = 2.5
-    tile_y: float = 2.0
-    variance: float = 1.0
-    length_scale: float = 4.0
-    lgcp_burn_in: int = 500
-    lgcp_samples: int = 500
-    lgcp_thinning: int = 2
+    width: float = CourtGrid.width
+    length: float = CourtGrid.length
+    tile_x: float = CourtGrid.tile_size[0]
+    tile_y: float = CourtGrid.tile_size[1]
+    variance: float = KernelHyper.variance
+    length_scale: float = KernelHyper.length_scale
+    lgcp_burn_in: int = LgcpConfig.burn_in
+    lgcp_samples: int = LgcpConfig.n_samples
+    lgcp_thinning: int = LgcpConfig.thinning
     k: int = 4
     k_list: tuple = (1, 2, 4, 6, 8, 12)
     loss: str = LOSSES[0]
-    restarts: int = 5
-    nmf_tol: float = 1e-6
-    nmf_iters: int = 2000
-    lvm_sweeps: int = 2000
-    lvm_burn_in: int = 500
-    fraction: float = 0.1
+    restarts: int = NmfConfig.restarts
+    nmf_tol: float = NmfConfig.tol
+    nmf_iters: int = NmfConfig.max_iters
+    lvm_sweeps: int = EfficiencyConfig.sweeps
+    lvm_burn_in: int = EfficiencyConfig.burn_in
+    fraction: float = EvalConfig.fraction
     min_attempts: int = 50
-    n_players: int = 60
-    k_star: int = 4
-    budget_min: int = 100
-    budget_max: int = 366
-    alpha: float = 1.0
-    sigma_star: float = 0.25
+    n_players: int = SynthConfig.n_players
+    k_star: int = SynthConfig.k_star
+    budget_min: int = SynthConfig.budget_range[0]
+    budget_max: int = SynthConfig.budget_range[1]
+    alpha: float = SynthConfig.alpha
+    sigma_star: float = SynthConfig.sigma_star
     seed: int = 0
     shots: str = "shots.csv"
     out: str = "artifacts"
@@ -283,7 +284,7 @@ def stage_ingest(inputs, outputs, grid: CourtGrid, fraction, min_attempts, seed)
     shots = read_shot_csv(shots_path, grid)
     train, test = split_holdout(shots, fraction, seed)
     cm_train = build_count_matrix(train, grid, min_attempts=min_attempts)
-    cm_test = build_count_matrix(test, grid, 0, players=cm_train.players)
+    cm_test = build_count_matrix(test, grid, players=cm_train.players)
     write_shot_csv(shots_train, train.take(train.player_rows(cm_train.players) >= 0))
     write_shot_csv(shots_test, test.take(test.player_rows(cm_train.players) >= 0))
     write_count_csv(counts_train, cm_train)

@@ -42,7 +42,7 @@ class SynthConfig:
     alpha: float = 1.0  # Dirichlet concentration for player weights
     sigma_star: float = 0.25  # spread of player logits around the global
     seed: int = 0
-    grid: CourtGrid = field(default_factory=lambda: CourtGrid(tile_size=(2.5, 2.0)))
+    grid: CourtGrid = field(default_factory=CourtGrid)
 
     def __post_init__(self):
         check_number("n_players", self.n_players, 1, integer=True)
@@ -119,8 +119,8 @@ def sample_player_shots(
     """Draw one player's shot locations from the mixed intensity.
 
     The weights are normalized to sum 1, so the expected shot total is the
-    budget.  Counts are Poisson per tile; locations are uniform in the tile.
-    Returns (x, y) arrays ordered by tile id.
+    budget.  Counts are Poisson per tile; locations are uniform over the
+    tile's part of the court.  Returns (x, y) arrays ordered by tile id.
     """
     weights_row = np.asarray(weights_row, dtype=np.float64)
     total = weights_row.sum()
@@ -134,8 +134,8 @@ def sample_player_shots(
         c = int(counts[v])
         x0 = (v % grid.nx) * tx
         y0 = (v // grid.nx) * ty
-        xs.append(x0 + rng.uniform(0.0, tx, size=c))
-        ys.append(y0 + rng.uniform(0.0, ty, size=c))
+        xs.append(x0 + rng.uniform(0.0, min(tx, grid.width - x0), size=c))
+        ys.append(y0 + rng.uniform(0.0, min(ty, grid.length - y0), size=c))
     if not xs:
         return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ys)

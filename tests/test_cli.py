@@ -19,6 +19,10 @@ from shotfactor.court import (
     read_labeled_csv,
     write_labeled_csv,
 )
+from shotfactor.efficiency import EfficiencyConfig
+from shotfactor.evaluate import EvalConfig
+from shotfactor.lgcp import LgcpConfig
+from shotfactor.nmf import NmfConfig
 from shotfactor.pipeline import (
     STAGES,
     PipelineConfig,
@@ -26,6 +30,7 @@ from shotfactor.pipeline import (
     parse_config_file,
     run_pipeline,
 )
+from shotfactor.synth import SynthConfig
 
 STAGE_CODES = {stage.name: stage.code for stage in STAGES}
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -230,6 +235,17 @@ class TestConfigParsing:
         assert message in err
         assert not (tmp_path / "artifacts").exists()
 
+    def test_default_views_equal_component_defaults(self):
+        """Each component config owns its defaults, so the views of a
+        default PipelineConfig equal the components' own defaults."""
+        config = PipelineConfig()
+        assert config.grid() == CourtGrid()
+        assert config.lgcp_config() == LgcpConfig()
+        assert config.nmf_config() == NmfConfig()
+        assert config.efficiency_config() == EfficiencyConfig()
+        assert config.eval_config() == EvalConfig()
+        assert config.synth_config() == SynthConfig()
+
     def test_component_views_carry_shared_seed(self):
         """Every component config inherits the global seed."""
         config = PipelineConfig(seed=17)
@@ -322,6 +338,24 @@ class TestSynthCommand:
         a = (tmp_path / "base" / "shots.csv").read_bytes()
         b = (tmp_path / "reseeded" / "shots.csv").read_bytes()
         assert a != b
+
+    def test_default_synth_then_pipeline_in_an_empty_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """Without --out, synth writes beside the config's shot CSV, so
+        synth then pipeline run on the default config."""
+        config_path = tmp_path / "chains.txt"
+        config_path.write_text(
+            "lgcp_burn_in = 3\nlgcp_samples = 3\nlgcp_thinning = 1\n"
+            "restarts = 1\nnmf_iters = 10\nlvm_sweeps = 10\nlvm_burn_in = 2\n"
+        )
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["synth", "--config", str(config_path)]) == 0
+        assert (work / "shots.csv").exists()
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        assert (work / "artifacts" / "eval_report.csv").exists()
 
     def test_missing_out_dir_created(self, tmp_path):
         """Nested output directories are created on demand."""

@@ -26,7 +26,7 @@ class TestKernelHyper:
     def test_defaults(self):
         h = KernelHyper()
         assert h.variance == 1.0
-        assert h.length_scale == 5.0
+        assert h.length_scale == 4.0
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestSquaredExponential:
             assert 0 < kab <= h.variance
 
     def test_broadcasts_over_stacks(self):
-        h = KernelHyper()
+        h = KernelHyper(variance=1.0, length_scale=5.0)
         pts = np.array([[0.0, 0.0], [3.0, 4.0]])
         got = squared_exponential(pts, np.array([0.0, 0.0]), h)
         np.testing.assert_allclose(got, [1.0, np.exp(-0.5)])

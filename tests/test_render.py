@@ -40,13 +40,13 @@ class TestRenderHeatmap:
         np.testing.assert_array_equal(read_heatmap(path), [[0, 255]])
 
     def test_header_for_default_grid(self, tmp_path):
-        """The default court renders 35 pixels wide and 50 tall."""
+        """The default 2.5 x 2 ft grid renders 14 pixels wide and 25 tall."""
         grid = CourtGrid()
         path = tmp_path / "default.pgm"
         render_heatmap(np.linspace(0.0, 1.0, grid.n_tiles), grid, path)
         with open(path, "rb") as f:
             header = f.read(13)
-        assert header == b"P5\n35 50\n255\n"
+        assert header == b"P5\n14 25\n255\n"
 
     def test_scaling_formula(self, tmp_path):
         """Pixels are round(255 * (v - min) / (max - min))."""
