@@ -2,7 +2,8 @@
 
 Every subcommand shares --config/--seed/--out, and every one that runs
 stages also --shots/--k/--loss/--restarts; flags beat config-file keys.
-``synth`` writes into --out, else into the directory of the config's shots.
+``synth`` writes the config's ``shots`` file, or a file of the same name
+in --out when given, and the truth files and manifest beside it.
 
 ``pipeline`` runs every stage; each stage subcommand (``ingest``,
 ``fit-lgcp``, ``factorize``, ``fit-efficiency``, ``evaluate``) runs its
@@ -108,8 +109,10 @@ def _resolve(args, **extra) -> PipelineConfig:
 
 def cmd_synth(args) -> int:
     config = _resolve(args)
-    out_dir = args.out or os.path.dirname(config.shots) or "."
-    files = generate_dataset(config.synth_config(), out_dir)
+    shots = config.shots
+    if args.out:
+        shots = os.path.join(args.out, os.path.basename(shots))
+    files = generate_dataset(config.synth_config(), shots)
     for name, path in sorted(files.items()):
         print(f"{name}: {path}")
     return 0

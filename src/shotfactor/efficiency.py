@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend
-from .court import check_number, write_labeled_csv
+from .court import check_number
 from .lgcp import ess_update
 
 # Fixed prior: global logits ~ N(0, SIGMA0_SQ), type variances ~ IG(PRIOR_A, PRIOR_B)
@@ -277,19 +277,3 @@ def efficiency_surface(
     weights = np.vstack([loadings.weights.mean(axis=0), loadings.weights])
     logits = np.vstack([model.beta0, model.beta])
     return backend.mixture_probability_surface(weights, loadings.bases, logits)
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def write_efficiency_csv(
-    beta_path, global_path, model: EfficiencyModel, players
-) -> None:
-    """Write the player logits (one row per player) and the global means and
-    variances."""
-    write_labeled_csv(beta_path, players, model.beta)
-    write_labeled_csv(
-        global_path, ["beta0", "sigma2"], np.vstack([model.beta0, model.sigma2])
-    )

@@ -9,14 +9,12 @@ identical terms.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backend import log_factorial
-from .court import CountMatrix, check_number, open_text
+from .court import CountMatrix, check_number
 from .nmf import COUNT_JITTER, NmfConfig, fit_nmf, fit_pca, pca_reconstruct
 
 EPS = 1e-12
@@ -74,8 +72,6 @@ class RecoveryScore:
 class EvalReport:
     entries: list
     players: list
-    fraction: float
-    seed: int
     recovery: dict = field(default_factory=dict)
 
     def entry(self, model: str, k: int) -> EvalEntry:
@@ -175,55 +171,4 @@ def compare_surfaces(
             if bases is not None and k >= k_star:
                 recovery[(model, k)] = basis_recovery_score(bases, truth_bases)
 
-    return EvalReport(
-        entries=entries,
-        players=players,
-        fraction=config.fraction,
-        seed=config.nmf.seed,
-        recovery=recovery,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Report persistence
-# ---------------------------------------------------------------------------
-
-
-def write_eval_report(paths, report: EvalReport) -> None:
-    """Write the summary CSV, the per-player CSV and a plain-text table, in
-    the order of ``paths``; the summary names the per-player file."""
-    summary_path, per_player_path, text_path = paths
-
-    with open_text(per_player_path, "w") as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "k", "player", "loglik"])
-        for e in report.entries:
-            for player, value in zip(report.players, e.per_player):
-                writer.writerow([e.model, e.k, player, repr(float(value))])
-
-    with open_text(summary_path, "w") as f:
-        writer = csv.writer(f)
-        writer.writerow(["model", "k", "mean", "stderr", "per_player_file"])
-        for e in report.entries:
-            writer.writerow(
-                [
-                    e.model,
-                    e.k,
-                    repr(e.mean),
-                    repr(e.stderr),
-                    os.path.basename(per_player_path),
-                ]
-            )
-
-    with open_text(text_path, "w") as f:
-        f.write(
-            f"held-out log-likelihood (fraction={report.fraction}, "
-            f"seed={report.seed}, {len(report.players)} players)\n"
-        )
-        f.write(f"{'model':<14}{'K':>4}{'mean':>14}{'stderr':>12}\n")
-        for e in report.entries:
-            f.write(f"{e.model:<14}{e.k:>4}{e.mean:>14.4f}{e.stderr:>12.4f}\n")
-        if report.recovery:
-            f.write("\nbasis recovery (mean matched cosine)\n")
-            for (model, k), scorer in sorted(report.recovery.items()):
-                f.write(f"{model:<14}{k:>4}{scorer.mean:>14.4f}\n")
+    return EvalReport(entries=entries, players=players, recovery=recovery)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .court import CourtGrid, check_number, write_json, write_labeled_csv
+from .court import check_number
 
 EPS_FLOOR = 1e-12
 
@@ -42,11 +42,9 @@ class FactorModel:
 
     weights: np.ndarray
     bases: np.ndarray
-    loss: str
     final_loss: float
     trace: np.ndarray
     n_iters: int
-    seed: int = 0
 
     @property
     def k(self) -> int:
@@ -171,11 +169,9 @@ def fit_nmf(data, k: int, loss: str = LOSSES[0], config: NmfConfig | None = None
         model = FactorModel(
             weights=w,
             bases=b,
-            loss=loss,
             final_loss=trace[-1],
             trace=np.array(trace),
             n_iters=steps,
-            seed=config.seed,
         )
         if best is None or model.final_loss < best.final_loss:
             best = model
@@ -215,24 +211,3 @@ def fit_pca(data, k: int) -> PcaModel:
 def pca_reconstruct(model: PcaModel) -> np.ndarray:
     """Mean plus the top-k projection of every row."""
     return model.mean + model.scores @ model.components
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def write_factor_model(paths, model: FactorModel, players, grid: CourtGrid) -> None:
-    """Write the weights CSV, the bases CSV under ``grid``'s header and the
-    JSON manifest, in the order of ``paths``."""
-    w_path, b_path, m_path = paths
-    write_labeled_csv(w_path, players, model.weights)
-    write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases, grid)
-    manifest = {
-        "loss": model.loss,
-        "k": model.k,
-        "final_loss": model.final_loss,
-        "iterations": model.n_iters,
-        "seed": model.seed,
-    }
-    write_json(m_path, manifest)

@@ -11,6 +11,7 @@ clock, so a given (config, seed) pair always produces the same bytes.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -42,12 +43,11 @@ from .efficiency import (
     adjust_weights,
     efficiency_surface,
     fit_efficiency,
-    write_efficiency_csv,
 )
-from .evaluate import EvalConfig, compare_surfaces, write_eval_report
+from .evaluate import EvalConfig, compare_surfaces
 from .gp import KernelHyper, build_cov_factor
 from .lgcp import LgcpConfig, fit_cohort
-from .nmf import LOSSES, NmfConfig, fit_nmf, write_factor_model
+from .nmf import LOSSES, NmfConfig, fit_nmf
 from .synth import SynthConfig
 
 
@@ -309,9 +309,21 @@ def stage_lgcp(inputs, outputs, lgcp: LgcpConfig):
 
 
 def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
+    """Factorize the surfaces; the bases B keep the surfaces' grid header."""
     (surfaces_path,) = inputs
+    w_path, b_path, manifest_path = outputs
     players, matrix, grid = read_tile_csv(surfaces_path)
-    write_factor_model(outputs, fit_nmf(matrix, k, loss, nmf), players, grid)
+    model = fit_nmf(matrix, k, loss, nmf)
+    write_labeled_csv(w_path, players, model.weights)
+    write_labeled_csv(b_path, [f"basis{i}" for i in range(model.k)], model.bases, grid)
+    manifest = {
+        "loss": loss,
+        "k": model.k,
+        "final_loss": model.final_loss,
+        "iterations": model.n_iters,
+        "seed": nmf.seed,
+    }
+    write_json(manifest_path, manifest)
 
 
 def stage_efficiency(inputs, outputs, efficiency: EfficiencyConfig):
@@ -327,15 +339,20 @@ def stage_efficiency(inputs, outputs, efficiency: EfficiencyConfig):
         missing = sorted(set(shots.players[idx < 0].tolist()))
         raise ValueError(f"shots reference players without loadings: {missing[:5]}")
     tiles = tile_indices(shots.x, shots.y, grid)
-    fit = fit_efficiency(idx, tiles, shots.made, loadings, efficiency)
-    write_efficiency_csv(beta_path, global_path, fit.model, players)
-    rows = efficiency_surface(loadings, fit.model)
+    model = fit_efficiency(idx, tiles, shots.made, loadings, efficiency).model
+    write_labeled_csv(beta_path, players, model.beta)
+    global_rows = np.vstack([model.beta0, model.sigma2])
+    write_labeled_csv(global_path, ["beta0", "sigma2"], global_rows)
+    rows = efficiency_surface(loadings, model)
     write_labeled_csv(surfaces_path, ["global"] + list(players), rows, grid)
 
 
 def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
-    """Score every model on the held-out counts (see ``compare_surfaces``)."""
+    """Score every model on the held-out counts (see ``compare_surfaces``),
+    then write the summary CSV, the per-player CSV it names, and a
+    plain-text table."""
     train_path, test_path, surfaces_path, meta_path, truth_path = inputs
+    summary_path, per_player_path, text_path = outputs
     cm_train = read_count_csv(train_path)
     cm_test = read_count_csv(test_path)
     players, surfaces, _ = read_tile_csv(surfaces_path, cm_train.grid)
@@ -348,7 +365,33 @@ def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
     report = compare_surfaces(
         cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth_bases
     )
-    write_eval_report(outputs, report)
+
+    with open_text(per_player_path, "w") as f:
+        writer = csv.writer(f)
+        writer.writerow(["model", "k", "player", "loglik"])
+        for e in report.entries:
+            for player, value in zip(report.players, e.per_player):
+                writer.writerow([e.model, e.k, player, repr(float(value))])
+
+    name = os.path.basename(per_player_path)
+    with open_text(summary_path, "w") as f:
+        writer = csv.writer(f)
+        writer.writerow(["model", "k", "mean", "stderr", "per_player_file"])
+        for e in report.entries:
+            writer.writerow([e.model, e.k, repr(e.mean), repr(e.stderr), name])
+
+    with open_text(text_path, "w") as f:
+        f.write(
+            f"held-out log-likelihood (fraction={evaluation.fraction}, "
+            f"seed={evaluation.nmf.seed}, {len(report.players)} players)\n"
+        )
+        f.write(f"{'model':<14}{'K':>4}{'mean':>14}{'stderr':>12}\n")
+        for e in report.entries:
+            f.write(f"{e.model:<14}{e.k:>4}{e.mean:>14.4f}{e.stderr:>12.4f}\n")
+        if report.recovery:
+            f.write("\nbasis recovery (mean matched cosine)\n")
+            for (model, k), scorer in sorted(report.recovery.items()):
+                f.write(f"{model:<14}{k:>4}{scorer.mean:>14.4f}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -119,23 +119,31 @@ def sample_player_shots(
     """Draw one player's shot locations from the mixed intensity.
 
     The weights are normalized to sum 1, so the expected shot total is the
-    budget.  Counts are Poisson per tile; locations are uniform over the
-    tile's part of the court.  Returns (x, y) arrays ordered by tile id.
+    budget on a court that is a whole number of tiles (unit-volume bases
+    count an overhanging tile's full area).  Counts are Poisson per tile,
+    with the mean taken over the tile's part of the court; locations are
+    uniform over that part.  Returns (x, y) arrays ordered by tile id.
     """
     weights_row = np.asarray(weights_row, dtype=np.float64)
     total = weights_row.sum()
     if total <= 0:
         raise ValueError("player weights must have positive sum")
     lam = budget * (weights_row / total) @ bases
-    counts = rng.poisson(lam * grid.tile_area)
     tx, ty = grid.tile_size
+    tiles = np.arange(grid.n_tiles)
+    x0 = (tiles % grid.nx) * tx
+    y0 = (tiles // grid.nx) * ty
+    # A last row or column may overhang the court: only its part counts.
+    wx = np.minimum(tx, grid.width - x0)
+    wy = np.minimum(ty, grid.length - y0)
+    # The bracketed product keeps each mean bit-equal to lam * tile_area on
+    # a court that is a whole number of tiles.
+    counts = rng.poisson(lam * (wx * wy))
     xs, ys = [], []
     for v in np.nonzero(counts)[0]:
         c = int(counts[v])
-        x0 = (v % grid.nx) * tx
-        y0 = (v // grid.nx) * ty
-        xs.append(x0 + rng.uniform(0.0, min(tx, grid.width - x0), size=c))
-        ys.append(y0 + rng.uniform(0.0, min(ty, grid.length - y0), size=c))
+        xs.append(x0[v] + rng.uniform(0.0, wx[v], size=c))
+        ys.append(y0[v] + rng.uniform(0.0, wy[v], size=c))
     if not xs:
         return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ys)
@@ -212,27 +220,27 @@ def generate_shots(truth: PlantedTruth, seed: int) -> ShotTable:
     return ShotTable(players, np.concatenate(xs), np.concatenate(ys), np.concatenate(made))
 
 
-def generate_dataset(config: SynthConfig, out_dir) -> dict:
-    """Write shots.csv, truth files, and a manifest; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
+def generate_dataset(config: SynthConfig, shots_path) -> dict:
+    """Write the shots to ``shots_path`` and the truth files and a manifest
+    beside it; returns the paths."""
+    out_dir = os.path.dirname(shots_path)
+    os.makedirs(out_dir or ".", exist_ok=True)
+    files = {
+        "shots": shots_path,
+        "truth_B": os.path.join(out_dir, "truth_B.csv"),
+        "truth_W": os.path.join(out_dir, "truth_W.csv"),
+        "truth_beta": os.path.join(out_dir, "truth_beta.csv"),
+        "manifest": os.path.join(out_dir, "synth_manifest.txt"),
+    }
     truth = make_planted_truth(config)
     shots = generate_shots(truth, config.seed)
 
-    shots_path = os.path.join(out_dir, "shots.csv")
-    write_shot_csv(shots_path, shots)
-    b_path = os.path.join(out_dir, "truth_B.csv")
-    write_labeled_csv(
-        b_path,
-        [f"basis{i}" for i in range(config.k_star)],
-        truth.bases,
-        truth.grid,
-    )
-    w_path = os.path.join(out_dir, "truth_W.csv")
-    write_labeled_csv(w_path, truth.players, truth.weights)
-    beta_path = os.path.join(out_dir, "truth_beta.csv")
-    write_labeled_csv(beta_path, truth.players, truth.beta)
+    write_shot_csv(files["shots"], shots)
+    basis_ids = [f"basis{i}" for i in range(config.k_star)]
+    write_labeled_csv(files["truth_B"], basis_ids, truth.bases, truth.grid)
+    write_labeled_csv(files["truth_W"], truth.players, truth.weights)
+    write_labeled_csv(files["truth_beta"], truth.players, truth.beta)
 
-    manifest_path = os.path.join(out_dir, "synth_manifest.txt")
     grid = config.grid
     manifest = {
         "n_players": config.n_players,
@@ -246,11 +254,5 @@ def generate_dataset(config: SynthConfig, out_dir) -> dict:
         "budgets": truth.budgets.tolist(),
         "n_shots": len(shots),
     }
-    write_json(manifest_path, manifest)
-    return {
-        "shots": shots_path,
-        "truth_B": b_path,
-        "truth_W": w_path,
-        "truth_beta": beta_path,
-        "manifest": manifest_path,
-    }
+    write_json(files["manifest"], manifest)
+    return files

@@ -342,20 +342,25 @@ class TestSynthCommand:
     def test_default_synth_then_pipeline_in_an_empty_directory(
         self, tmp_path, monkeypatch
     ):
-        """Without --out, synth writes beside the config's shot CSV, so
-        synth then pipeline run on the default config."""
-        config_path = tmp_path / "chains.txt"
-        config_path.write_text(
+        """Without --out, synth writes the config's shot CSV and the truth
+        beside it, so synth then pipeline run on the default config and on
+        one that names another shot file."""
+        chains = (
             "lgcp_burn_in = 3\nlgcp_samples = 3\nlgcp_thinning = 1\n"
             "restarts = 1\nnmf_iters = 10\nlvm_sweeps = 10\nlvm_burn_in = 2\n"
         )
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        assert main(["synth", "--config", str(config_path)]) == 0
-        assert (work / "shots.csv").exists()
-        assert main(["pipeline", "--config", str(config_path)]) == 0
-        assert (work / "artifacts" / "eval_report.csv").exists()
+        for name, shots in (("default", None), ("named", "data/myshots.csv")):
+            config_path = tmp_path / f"{name}.txt"
+            config_path.write_text(chains + (f"shots = {shots}\n" if shots else ""))
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert main(["synth", "--config", str(config_path)]) == 0
+            shots_path = work / (shots or "shots.csv")
+            assert shots_path.exists()
+            assert (shots_path.parent / "truth_B.csv").exists()
+            assert main(["pipeline", "--config", str(config_path)]) == 0
+            assert (work / "artifacts" / "eval_report.csv").exists()
 
     def test_missing_out_dir_created(self, tmp_path):
         """Nested output directories are created on demand."""

@@ -4,6 +4,7 @@ per-player holdout split."""
 import ast
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from shotfactor.court import (
     write_labeled_csv,
     write_shot_csv,
 )
-from shotfactor.efficiency import EfficiencyModel, write_efficiency_csv
-from shotfactor.nmf import FactorModel, write_factor_model
+from shotfactor.efficiency import EfficiencyConfig, EfficiencyModel
+from shotfactor.nmf import FactorModel, NmfConfig
+from shotfactor.pipeline import stage_efficiency, stage_factorize
 from shotfactor.synth import SynthConfig, generate_dataset
 
 DESK = CourtGrid(tile_size=(2.5, 2.0))
@@ -286,7 +288,7 @@ class TestShotCsvRoundTrip:
 
     def test_synth_shots_rewrite_byte_for_byte(self, tmp_path):
         config = SynthConfig(n_players=4, budget_range=(20, 40), seed=3, grid=DESK)
-        files = generate_dataset(config, tmp_path)
+        files = generate_dataset(config, tmp_path / "shots.csv")
         path = tmp_path / "again.csv"
         write_shot_csv(path, read_shot_csv(files["shots"], DESK))
         with open(files["shots"], "rb") as f:
@@ -399,6 +401,26 @@ def test_every_text_open_goes_through_open_text():
     assert offenders == []
 
 
+def test_model_modules_do_no_file_io():
+    """The model modules return arrays and each stage in ``pipeline`` writes
+    its own artifacts, so no model module opens a file or imports a writer."""
+    banned = {"csv", "os", "open_text", "write_json", "write_labeled_csv"}
+    offenders = []
+    for name in ("backend", "gp", "lgcp", "nmf", "efficiency", "evaluate"):
+        path = Path(court.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in ("open", "open_text"):
+                    offenders.append(f"{name}.py:{node.lineno} calls {called}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                names = {a.name.split(".")[0] for a in node.names}
+                for hit in sorted(banned & (names | {module.split(".")[0]})):
+                    offenders.append(f"{name}.py:{node.lineno} imports {hit}")
+    assert offenders == []
+
+
 class TestCountCsvRoundTrip:
     def test_round_trip_preserves_grid_and_counts(self, tmp_path):
         rng = np.random.default_rng(22)
@@ -459,42 +481,51 @@ class TestLabeledCsvGoldenBytes:
             b"p0,0.1,0.3333333333333333\r\nglobal,2.5e-300,-0.0\r\n"
         )
 
-    def test_factor_w_and_b(self, tmp_path):
+    def test_factor_w_and_b(self, tmp_path, monkeypatch):
+        """The factorize stage writes W by player and B by basis id under
+        the surfaces' grid header."""
         model = FactorModel(
             weights=np.array([[0.5, 1.25], [3.0, 1e-12]]),
             bases=np.array([[0.1, 0.9], [0.75, 0.25]]),
-            loss="kl",
             final_loss=0.5,
             trace=np.array([0.5]),
             n_iters=3,
         )
+        monkeypatch.setattr("shotfactor.pipeline.fit_nmf", lambda *args: model)
+        surfaces = tmp_path / "s.csv"
+        write_labeled_csv(surfaces, ["a", "b"], SURFACE_ROWS, TWO)
         paths = [tmp_path / "f_W.csv", tmp_path / "f_B.csv", tmp_path / "f.txt"]
-        write_factor_model(paths, model, ["a", "b"], TWO)
+        stage_factorize([surfaces], paths, 2, "kl", NmfConfig())
         assert paths[0].read_bytes() == b"a,0.5,1.25\r\nb,3.0,1e-12\r\n"
         assert paths[1].read_bytes() == (
             b"# grid 2.0 1.0 1.0 1.0\nbasis0,0.1,0.9\r\nbasis1,0.75,0.25\r\n"
         )
 
-    def test_efficiency_beta_and_global(self, tmp_path):
+    def test_efficiency_beta_and_global(self, tmp_path, monkeypatch):
+        """The efficiency stage writes the logits by player, then the
+        global means and variances as the rows beta0 and sigma2."""
         model = EfficiencyModel(
             beta0=np.array([-0.5, 0.25]),
             sigma2=np.array([0.1, 2.0]),
             beta=np.array([[-0.4, 1 / 3], [0.0, -1.5]]),
         )
-        write_efficiency_csv(
-            tmp_path / "e_beta.csv", tmp_path / "e_global.csv", model, ["a", "b"]
-        )
-        assert (tmp_path / "e_beta.csv").read_bytes() == (
+        fit = SimpleNamespace(model=model)
+        monkeypatch.setattr("shotfactor.pipeline.fit_efficiency", lambda *a: fit)
+        w_path, b_path, shots_path = (tmp_path / n for n in ("W.csv", "B.csv", "s.csv"))
+        write_labeled_csv(w_path, ["a", "b"], np.array([[0.5, 1.25], [3.0, 1.0]]))
+        write_labeled_csv(b_path, ["basis0", "basis1"], np.eye(2), TWO)
+        write_shot_csv(shots_path, _shots(("a", 0.5, 0.5, 1), ("b", 1.5, 0.5, 0)))
+        outputs = [tmp_path / n for n in ("e_beta.csv", "e_global.csv", "e_s.csv")]
+        stage_efficiency([w_path, b_path, shots_path], outputs, EfficiencyConfig())
+        assert outputs[0].read_bytes() == (
             b"a,-0.4,0.3333333333333333\r\nb,0.0,-1.5\r\n"
         )
-        assert (tmp_path / "e_global.csv").read_bytes() == (
-            b"beta0,-0.5,0.25\r\nsigma2,0.1,2.0\r\n"
-        )
+        assert outputs[1].read_bytes() == b"beta0,-0.5,0.25\r\nsigma2,0.1,2.0\r\n"
 
     def test_synth_truth_weights(self, tmp_path):
         """One planted basis gives every player the weight 1.0 exactly."""
         config = SynthConfig(n_players=2, k_star=1, budget_range=(1, 1), grid=TWO)
-        files = generate_dataset(config, tmp_path)
+        files = generate_dataset(config, tmp_path / "shots.csv")
         with open(files["truth_W"], "rb") as f:
             assert f.read() == b"p00,1.0\r\np01,1.0\r\n"
 

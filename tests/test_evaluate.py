@@ -12,6 +12,9 @@ from shotfactor.court import (
     ShotTable,
     build_count_matrix,
     split_holdout,
+    write_count_csv,
+    write_json,
+    write_labeled_csv,
 )
 from shotfactor.evaluate import (
     EPS,
@@ -22,14 +25,33 @@ from shotfactor.evaluate import (
     basis_recovery_score,
     compare_surfaces,
     heldout_loglik,
-    write_eval_report,
 )
 from shotfactor.gp import KernelHyper, build_cov_factor
 from shotfactor.lgcp import LgcpConfig, fit_cohort
 from shotfactor.nmf import COUNT_JITTER, NmfConfig, fit_nmf, fit_pca, pca_reconstruct
+from shotfactor.pipeline import stage_evaluate
 from shotfactor.synth import make_planted_bases
 
 DESK = CourtGrid(tile_size=(2.5, 2.0))
+
+# The evaluate stage's outputs, in the order of its stage table entry
+REPORT_FILES = ("summary.csv", "players.csv", "report.txt")
+
+
+def _stage_inputs(tmp_path, players):
+    """The evaluate stage's input files for a flat unit surface of train
+    volume 20 per player on a 4 x 5 ft court, one shot per tile in train
+    and test, and no truth file."""
+    grid = CourtGrid(width=4.0, length=5.0, tile_size=(1.0, 1.0))
+    counts = CountMatrix(np.ones((len(players), grid.n_tiles), int), players, grid)
+    unit = np.full((len(players), grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
+    names = ("train.csv", "test.csv", "surfaces.csv", "meta.txt", "truth_B.csv")
+    paths = [tmp_path / name for name in names]
+    write_count_csv(paths[0], counts)
+    write_count_csv(paths[1], counts)
+    write_labeled_csv(paths[2], players, unit, grid)
+    write_json(paths[3], {"volumes": {player: 20.0 for player in players}})
+    return paths
 
 
 class TestHeldoutLoglik:
@@ -295,11 +317,15 @@ class TestRunComparison:
         assert len(self._one_player(("lgcp",)).entries) == 1
 
     def test_report_header_gives_the_fit_seed(self, tmp_path):
-        """The text report's seed is the one the NMF fits ran with."""
-        paths = [tmp_path / n for n in ("summary.csv", "players.csv", "report.txt")]
-        write_eval_report(paths, self._one_player(("lgcp",)))
-        header = paths[2].read_text().splitlines()[0]
-        assert "seed=7," in header
+        """The text report's header gives the held-out fraction and the seed
+        the NMF fits ran with."""
+        outputs = [tmp_path / name for name in REPORT_FILES]
+        config = EvalConfig(
+            fraction=0.25, nmf=NmfConfig(seed=7, restarts=1), models=("lgcp",)
+        )
+        stage_evaluate(_stage_inputs(tmp_path, ["p0"]), outputs, [1], config)
+        header = outputs[2].read_text().splitlines()[0]
+        assert header == "held-out log-likelihood (fraction=0.25, seed=7, 1 players)"
 
     def test_config_validation(self):
         """Fractions and model names are checked up front."""
@@ -310,17 +336,18 @@ class TestRunComparison:
 
 
 class TestWriteEvalReport:
-    def test_files_written_and_parse_back(self, tmp_path):
-        """Summary, per-player, and text files land with matching numbers."""
+    def test_files_written_and_parse_back(self, tmp_path, monkeypatch):
+        """The evaluate stage's summary, per-player, and text files land
+        with matching numbers."""
         entries = [
             EvalEntry("lgcp", 2, np.array([-5.0, -7.0, -6.0])),
             EvalEntry("nmf_kl", 2, np.array([-4.5, -6.5, -5.5])),
         ]
-        report = EvalReport(
-            entries=entries, players=["a", "b", "c"], fraction=0.1, seed=3
-        )
-        paths = [tmp_path / n for n in ("summary.csv", "players.csv", "report.txt")]
-        write_eval_report(paths, report)
+        report = EvalReport(entries=entries, players=["a", "b", "c"])
+        monkeypatch.setattr("shotfactor.pipeline.compare_surfaces", lambda *a: report)
+        paths = [tmp_path / name for name in REPORT_FILES]
+        inputs = _stage_inputs(tmp_path, ["a", "b", "c"])
+        stage_evaluate(inputs, paths, [2], EvalConfig(nmf=NmfConfig(seed=3)))
         assert all(os.path.exists(p) for p in paths)
         with open(paths[0], newline="") as f:
             rows = list(csv.reader(f))

@@ -1,5 +1,5 @@
 """Factorization losses, multiplicative updates, planted-model recovery,
-the PCA baseline, and factor persistence."""
+the PCA baseline, and the factorize stage's files."""
 
 import json
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import entropy
 
-from shotfactor.court import CourtGrid, read_labeled_csv
+from shotfactor.court import CourtGrid, read_labeled_csv, write_labeled_csv
 from shotfactor.nmf import (
     CHECK_EVERY,
     EPS_FLOOR,
@@ -20,8 +20,8 @@ from shotfactor.nmf import (
     nmf_step_frobenius,
     nmf_step_kl,
     pca_reconstruct,
-    write_factor_model,
 )
+from shotfactor.pipeline import stage_factorize
 
 
 def _cos(a, b):
@@ -276,7 +276,6 @@ class TestFitNmf:
         rng = np.random.default_rng(31)
         lam = rng.uniform(0.1, 1.0, size=(8, 12))
         model = fit_nmf(lam, 3, "frobenius", NmfConfig(restarts=2, seed=5))
-        assert model.loss == "frobenius"
         assert model.final_loss == model.trace[-1]
         assert np.all(np.diff(model.trace) <= 1e-9)
         assert len(model.trace) - 1 == math.ceil(model.n_iters / CHECK_EVERY)
@@ -451,13 +450,18 @@ class TestLossCharacter:
 
 class TestFactorModelIO:
     def test_round_trip(self, tmp_path):
+        """The factorize stage's W, B and manifest read back to the fit of
+        its surfaces, with B under their grid."""
         rng = np.random.default_rng(71)
         lam = rng.uniform(0.1, 1.0, size=(5, 8))
-        model = fit_nmf(lam, 2, "kl", NmfConfig(restarts=2, seed=3))
+        config = NmfConfig(restarts=2, seed=3)
+        model = fit_nmf(lam, 2, "kl", config)
         players = [f"p{i}" for i in range(5)]
-        paths = [tmp_path / name for name in ("w.csv", "b.csv", "manifest.txt")]
         grid = CourtGrid(width=4.0, length=2.0, tile_size=(1.0, 1.0))
-        write_factor_model(paths, model, players, grid)
+        surfaces = tmp_path / "surfaces.csv"
+        write_labeled_csv(surfaces, players, lam, grid)
+        paths = [tmp_path / name for name in ("w.csv", "b.csv", "manifest.txt")]
+        stage_factorize([surfaces], paths, 2, "kl", config)
         back_players, weights, _ = read_labeled_csv(paths[0])
         basis_ids, bases, back_grid = read_labeled_csv(paths[1])
         with open(paths[2]) as f:
@@ -467,7 +471,7 @@ class TestFactorModelIO:
         np.testing.assert_array_equal(weights, model.weights)
         np.testing.assert_array_equal(bases, model.bases)
         assert back_grid == grid
-        assert meta["loss"] == model.loss and meta["k"] == 2
+        assert meta["loss"] == "kl" and meta["k"] == 2
         assert meta["final_loss"] == model.final_loss
         assert meta["iterations"] == model.n_iters
-        assert meta["seed"] == model.seed
+        assert meta["seed"] == 3

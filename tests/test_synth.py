@@ -148,6 +148,19 @@ class TestSamplePlayerShots:
         assert _tile_counts(xs, ys, grid).min() > 0
         assert xs.max() > grid.width - 0.5 and ys.max() > grid.length - 0.5
 
+    def test_overhanging_last_tiles_keep_the_court_density(self):
+        """A flat intensity puts as many shots per square foot in the 2 ft
+        wide last column and row of 3 ft tiles as in the 33 x 48 ft rest of
+        the court, within 5%."""
+        grid = CourtGrid(35.0, 50.0, (3.0, 3.0))
+        flat = np.full((1, grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
+        rng = np.random.default_rng(9)
+        xs, ys = sample_player_shots(np.ones(1), flat, 2e5, grid, rng)
+        edge = (xs >= 33.0) | (ys >= 48.0)
+        edge_density = edge.sum() / (35.0 * 50.0 - 33.0 * 48.0)
+        interior_density = (~edge).sum() / (33.0 * 48.0)
+        assert abs(edge_density / interior_density - 1.0) < 0.05
+
     def test_zero_weights_rejected(self):
         """A player with no positive weight cannot shoot."""
         with pytest.raises(ValueError, match="positive sum"):
@@ -288,8 +301,8 @@ class TestGenerateDataset:
     def test_regeneration_is_byte_identical(self, tmp_path):
         """The same config writes the same bytes twice."""
         config = SynthConfig(n_players=5, budget_range=(20, 40), seed=9, grid=DESK)
-        files1 = generate_dataset(config, tmp_path / "a")
-        files2 = generate_dataset(config, tmp_path / "b")
+        files1 = generate_dataset(config, tmp_path / "a" / "shots.csv")
+        files2 = generate_dataset(config, tmp_path / "b" / "shots.csv")
         for name in files1:
             with open(files1[name], "rb") as f:
                 data1 = f.read()
@@ -301,7 +314,7 @@ class TestGenerateDataset:
         """Shots and truth matrices reload to the generating values."""
         config = SynthConfig(n_players=5, budget_range=(20, 40), seed=9, grid=DESK)
         truth = make_planted_truth(config)
-        files = generate_dataset(config, tmp_path)
+        files = generate_dataset(config, tmp_path / "shots.csv")
         shots = read_shot_csv(files["shots"], DESK)
         assert len(shots) == len(generate_shots(truth, config.seed))
         ids, weights, _ = read_labeled_csv(files["truth_W"])
@@ -313,7 +326,7 @@ class TestGenerateDataset:
     def test_manifest_records_config(self, tmp_path):
         """The manifest is JSON carrying the generating configuration."""
         config = SynthConfig(n_players=5, budget_range=(20, 40), seed=9, grid=DESK)
-        files = generate_dataset(config, tmp_path)
+        files = generate_dataset(config, tmp_path / "shots.csv")
         with open(files["manifest"]) as f:
             manifest = json.load(f)
         assert manifest["n_players"] == 5
