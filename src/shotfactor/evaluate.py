@@ -133,10 +133,12 @@ def compare_surfaces(
     k_list: list[int],
     config: EvalConfig,
     truth_bases: np.ndarray | None = None,
+    map=map,
 ) -> EvalReport:
     """Score every requested model at every rank in ``k_list``: each reduces
     to unit rows, volumes and its fitted bases (None for ``lgcp`` and
-    ``pca``), which are matched against the truth at K >= K*."""
+    ``pca``), which are matched against the truth at K >= K*.  The (model, K)
+    tasks run through ``map`` (the evaluate stage passes ``fan_out``)."""
     grid = cm_train.grid
     players = cm_train.players
     area = grid.tile_area
@@ -148,27 +150,26 @@ def compare_surfaces(
     def unit_rows(matrix):  # clamped: an empty or negative tile still scores
         return grid.unit_volume(np.maximum(matrix, EPS))
 
-    def reduce(model: str, k: int):
+    def score(task):  # (model, k) -> per-player scores, recovery or None
+        model, k = task
+        vols, bases = volumes, None
         if model == "lgcp":
-            return unit_surfaces, volumes, None
-        if model == "pca":
+            rows = unit_surfaces
+        elif model == "pca":
             k_pca = min(k, len(players) - 1, grid.n_tiles)
             rows, _ = unit_rows(pca_reconstruct(fit_pca(unit_surfaces, k_pca)))
-            return rows, volumes, None
-        if model == "nmf_counts":
+        elif model == "nmf_counts":
             fit = fit_nmf(cm_train.counts + COUNT_JITTER, k, "kl", config.nmf)
-            return *unit_rows((fit.weights @ fit.bases) / area), fit.bases
-        fit = fit_nmf(unit_surfaces, k, SURFACE_LOSSES[model], config.nmf)
-        return unit_rows(fit.weights @ fit.bases)[0], volumes, fit.bases
+            (rows, vols), bases = unit_rows((fit.weights @ fit.bases) / area), fit.bases
+        else:
+            fit = fit_nmf(unit_surfaces, k, SURFACE_LOSSES[model], config.nmf)
+            rows, bases = unit_rows(fit.weights @ fit.bases)[0], fit.bases
+        scores = heldout_loglik(cm_test.counts, rows, vols, config.fraction, area)
+        recovered = bases is not None and k >= k_star
+        return scores, basis_recovery_score(bases, truth_bases) if recovered else None
 
-    entries: list[EvalEntry] = []
-    recovery: dict = {}
-    for k in k_list:
-        for model in (m for m in MODEL_NAMES if m in config.models):
-            rows, vols, bases = reduce(model, k)
-            scores = heldout_loglik(cm_test.counts, rows, vols, config.fraction, area)
-            entries.append(EvalEntry(model, k, scores))
-            if bases is not None and k >= k_star:
-                recovery[(model, k)] = basis_recovery_score(bases, truth_bases)
-
+    tasks = [(m, k) for k in k_list for m in MODEL_NAMES if m in config.models]
+    results = list(map(score, tasks))
+    entries = [EvalEntry(*task, scores) for task, (scores, _) in zip(tasks, results)]
+    recovery = {task: rec for task, (_, rec) in zip(tasks, results) if rec is not None}
     return EvalReport(entries=entries, players=players, recovery=recovery)

@@ -136,18 +136,19 @@ def fit_lgcp(
 
 
 def fit_cohort(
-    counts: np.ndarray, factor: CovFactor, grid: CourtGrid, config: LgcpConfig
+    counts: np.ndarray, factor: CovFactor, grid: CourtGrid, config: LgcpConfig, map=map
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit every row of a count matrix with its own derived RNG stream.
 
     Returns the stacked unit-volume surfaces (N x V) and the train volumes.
-    Row order alone determines each player's stream, so results do not
-    depend on scheduling.
+    The chains run through ``map`` (the lgcp stage passes ``fan_out``); row
+    order alone sets each player's stream, so results do not depend on map.
     """
     counts = np.asarray(counts)
-    rates = np.empty((counts.shape[0], grid.n_tiles))
-    for i in range(counts.shape[0]):
-        # stream tag 2: cohort chains stay disjoint from other stages
+
+    def fit_row(i):  # stream tag 2: cohort chains stay disjoint from other stages
         rng = np.random.default_rng([config.seed, 2, i])
-        rates[i] = fit_lgcp(counts[i], factor, grid, config, rng)
+        return fit_lgcp(counts[i], factor, grid, config, rng)
+
+    rates = np.array(list(map(fit_row, range(len(counts))))).reshape(-1, grid.n_tiles)
     return grid.unit_volume(rates)

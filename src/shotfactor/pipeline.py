@@ -12,11 +12,14 @@ clock, so a given (config, seed) pair always produces the same bytes.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import functools
 import hashlib
 import json
 import os
+import pickle
+import signal
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -277,6 +280,57 @@ class StageRunner:
 # ---------------------------------------------------------------------------
 
 
+def fan_out(fn, items) -> list:
+    """``[fn(x) for x in items]`` on every CPU in the affinity mask: n - 1
+    forked workers compute items j, j + n, ... (0 < j < n) and this process
+    items 0, n, ....  A worker's exception is raised here; one that dies
+    without replying raises RuntimeError naming its exit status.  Every
+    worker is reaped, and first killed if this process's share raised.
+    Forking is safe: a stage runs one thread, and OpenBLAS parks its pool."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    n = max(1, min(len(cpus), len(items)))
+    parent, workers = os.getpid(), {}  # pid -> read end of its pipe, unreaped
+    try:
+        for j in range(1, n):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _work(parent, fn, items[j::n], write)
+            os.close(write)
+            workers[pid] = os.fdopen(read, "rb")
+        shares = [[fn(x) for x in items[::n]]]
+        for pid in list(workers):
+            reply = workers[pid].read()  # to EOF: the worker replied or died
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(pid).close()
+            if code or not reply:
+                raise RuntimeError(f"a fan_out worker exited with status {code}")
+            shares.append(pickle.loads(reply))
+            if not isinstance(shares[-1], list):
+                raise shares[-1]
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[i % n][i // n] for i in range(len(items))]
+
+
+def _work(parent: int, fn, share, write: int):
+    """A fan_out worker: it dies with ``parent``, replies and ends at once."""
+    try:
+        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
+        if os.getppid() == parent:  # else it died before the request
+            try:
+                reply = [fn(x) for x in share]
+            except Exception as exc:
+                reply = exc
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def stage_ingest(inputs, outputs, grid: CourtGrid, fraction, min_attempts, seed):
     """Split the shots into train and test, and count each split per tile."""
     (shots_path,) = inputs
@@ -297,7 +351,7 @@ def stage_lgcp(inputs, outputs, lgcp: LgcpConfig):
     surfaces_path, meta_path = outputs
     cm = read_count_csv(counts_path)
     factor = build_cov_factor(cm.grid, lgcp.hyper)
-    surfaces, volumes = fit_cohort(cm.counts, factor, cm.grid, lgcp)
+    surfaces, volumes = fit_cohort(cm.counts, factor, cm.grid, lgcp, fan_out)
     write_labeled_csv(surfaces_path, cm.players, surfaces, cm.grid)
     meta = {
         "kernel": [lgcp.hyper.variance, lgcp.hyper.length_scale],
@@ -359,11 +413,11 @@ def stage_evaluate(inputs, outputs, k_list, evaluation: EvalConfig):
     with open_text(meta_path) as f:
         volumes_map = json.load(f)["volumes"]
     volumes = np.array([volumes_map[player] for player in players])
-    truth_bases = None
+    truth = None
     if os.path.exists(truth_path):
-        _, truth_bases, _ = read_tile_csv(truth_path, cm_train.grid)
+        _, truth, _ = read_tile_csv(truth_path, cm_train.grid)
     report = compare_surfaces(
-        cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth_bases
+        cm_train, cm_test, surfaces, volumes, list(k_list), evaluation, truth, fan_out
     )
 
     with open_text(per_player_path, "w") as f:

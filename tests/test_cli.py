@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shotfactor import backend, cli
+from shotfactor import backend, cli, lgcp
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
 from shotfactor.court import (
     CourtGrid,
@@ -661,6 +661,50 @@ class TestStageCommands:
         assert main([*argv, "--k", "1"]) == STAGE_CODES["evaluate"]
         err = capsys.readouterr().err
         assert "the pca baseline needs at least 2 players, got 1" in err
+
+
+class TestProcessFanOut:
+    """The lgcp and evaluate stages run on every usable CPU (see
+    ``pipeline.fan_out``); the usable-CPU count is patched here."""
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    def test_cold_runs_write_the_same_bytes_on_one_and_three_cpus(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        outs = []
+        for count in (1, 3):
+            self._cpus(monkeypatch, count)
+            outs.append(tmp_path / f"cpus{count}")
+            argv = ["pipeline", "--config", workspace["config"], "--out", str(outs[-1])]
+            assert main(argv) == 0
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_error_in_a_worker_fails_lgcp_in_one_line(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        parent, fit_lgcp = os.getpid(), lgcp.fit_lgcp
+
+        def fit_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise ValueError("chain broke in a worker")
+            return fit_lgcp(*args)
+
+        monkeypatch.setattr(lgcp, "fit_lgcp", fit_in_parent_only)
+        self._cpus(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(argv) == STAGE_CODES["lgcp"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'lgcp' failed") and err.count("\n") == 1
+        assert "chain broke in a worker" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestPipelineCommand:
