@@ -1,5 +1,5 @@
 """End-to-end orchestration: ingest, LGCP fits, factorization, efficiency,
-evaluation, all persisted and resumable.
+evaluation (in a worker beside the two before it), persisted and resumable.
 
 The stages form one table, ``STAGES``.  Every stage writes its outputs and
 their checksums, keyed on the package source digest, its config views and
@@ -11,6 +11,7 @@ clock, so a given (config, seed) pair always produces the same bytes.
 
 from __future__ import annotations
 
+import copyreg
 import csv
 import ctypes
 import dataclasses
@@ -208,13 +209,12 @@ def _source_digest() -> str:
 
 class StageRunner:
     """Runs named stages, skipping one whose outputs are intact and whose
-    key is the one it last ran with.  ``key`` sets a stage's key before
-    ``run`` runs it."""
+    key is the one it last ran with, as ``due`` decides before ``run``."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.state_path = os.path.join(out_dir, "pipeline_state.txt")
-        self.keys = {}  # stage name -> key in this run
+        self.decided = {}  # stage name -> (key, why it runs or None, outputs' rel)
         self.sums = {}  # path -> SHA-256, each file read at most once a run
         try:
             with open_text(self.state_path) as f:
@@ -240,36 +240,38 @@ class StageRunner:
             self.sums[path] = _sha256(path) if os.path.exists(path) else "absent"
         return self.sums[path]
 
-    def key(self, name: str, views: list, inputs: dict) -> None:
-        """Key stage ``name`` on the package source digest, the repr of its
-        config views and the checksum of each input file (input name -> path)."""
+    def due(self, name: str, views: list, inputs: dict, outputs: list):
+        """Why stage ``name`` must run, or None; the first call keys it on the
+        source digest, its views' repr and its inputs' checksums (by name)."""
+        if name in self.decided:
+            return self.decided[name][1]
         parts = [_source_digest(), repr(views)]
         parts += [f"{n}={self.checksum(p)}" for n, p in inputs.items()]
-        self.keys[name] = hashlib.sha256("\0".join(parts).encode()).hexdigest()
-
-    def run(self, name: str, outputs: list, fn):
-        key = self.keys[name]
+        key = hashlib.sha256("\0".join(parts).encode()).hexdigest()
         recorded = self.state["artifacts"]
         rel = [os.path.relpath(p, self.out_dir) for p in outputs]
         last_key = self.state["stages"].get(name)
+        reason = None
         if last_key is None or any(r not in recorded for r in rel):
             reason = "no record"
         elif last_key != key:
             reason = "key changed"
         elif not all(os.path.exists(p) for p in outputs):
             reason = "output missing"
-        else:
-            stale = [
-                r for r, p in zip(rel, outputs) if self.checksum(p) != recorded[r]
-            ]
-            if not stale:
-                print(f"[{name}] up to date, skipping")
-                return
+        elif stale := [r for r, p in zip(rel, outputs) if self.checksum(p) != recorded[r]]:
             print(f"[{name}] checksum mismatch on {', '.join(stale)}; re-running")
             reason = "checksum mismatch"
+        self.decided[name] = key, reason, rel
+        return reason
+
+    def run(self, name: str, outputs: list, fn):
+        key, reason, rel = self.decided[name]
+        if reason is None:
+            print(f"[{name}] up to date, skipping")
+            return
         fn()
         for r, p in zip(rel, outputs):
-            self.sums[p] = recorded[r] = _sha256(p)
+            self.sums[p] = self.state["artifacts"][r] = _sha256(p)
         self.state["stages"][name] = key
         write_json(self.state_path, self.state)
         print(f"[{name}] done ({reason})")
@@ -280,15 +282,18 @@ class StageRunner:
 # ---------------------------------------------------------------------------
 
 
+def usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def fan_out(fn, items) -> list:
-    """``[fn(x) for x in items]`` on every CPU in the affinity mask: n - 1
-    forked workers compute items j, j + n, ... (0 < j < n) and this process
-    items 0, n, ....  A worker's exception is raised here; one that dies
-    without replying raises RuntimeError naming its exit status.  Every
-    worker is reaped, and first killed if this process's share raised.
+    """``[fn(x) for x in items]`` on every usable CPU: n - 1 forked workers
+    (which may fan out in turn) compute items j, j + n, ... (0 < j < n) and
+    this process items 0, n, ....  A worker's exception is raised here as it
+    was; one dying without a reply raises RuntimeError naming its exit status.
+    Every worker is reaped, and first killed if this process's share raised.
     Forking is safe: a stage runs one thread, and OpenBLAS parks its pool."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
-    n = max(1, min(len(cpus), len(items)))
+    n = max(1, min(usable_cpus(), len(items)))
     parent, workers = os.getpid(), {}  # pid -> read end of its pipe, unreaped
     try:
         for j in range(1, n):
@@ -321,11 +326,16 @@ def _work(parent: int, fn, share, write: int):
         ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))  # PR_SET_PDEATHSIG
         if os.getppid() == parent:  # else it died before the request
             try:
-                reply = [fn(x) for x in share]
-            except Exception as exc:
-                reply = exc
+                reply = pickle.dumps([fn(x) for x in share], pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # an unpicklable result's included
+                try:
+                    pickle.loads(reply := pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+                except Exception:  # as when __init__ takes other arguments than args
+                    new = (copyreg.__newobj__, (type(exc), *exc.args), vars(exc))
+                    copyreg.pickle(type(exc), lambda _: new)  # loads without __init__
+                    reply = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
             with os.fdopen(write, "wb") as pipe:
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.write(reply)
             os._exit(0)
     finally:
         os._exit(1)
@@ -544,13 +554,22 @@ def stage_plan(target: str | None = None) -> list:
     return plan
 
 
+def _start(plan: list, j: int) -> int:
+    """Where ``plan[j]`` may start: after its inputs' writers, unless read later."""
+    writers = [i + 1 for i in range(j) if set(plan[i].outputs) & set(plan[j].inputs)]
+    read = any(set(plan[j].outputs) & set(s.inputs) for s in plan[j + 1 :])
+    return j if read else max(writers, default=0)
+
+
 def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> list:
     """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
     the config, less its ``out``, in ``pipeline_manifest.txt``; returns the
-    output paths of the last stage.  A failure inside a stage, its views
-    included, raises ``StageError`` with that stage's code, and a config
-    value JSON cannot hold (NaN, infinity) raises ValueError; both leave
-    the manifest as it was."""
+    output paths of the last stage.  Views are built up front, in plan
+    order; a due stage that may start early (``_start``) runs in a
+    ``fan_out`` worker beside the stages before its place, where it is
+    joined.  A failure inside a stage, its views included, raises
+    ``StageError`` with that stage's code, and a config value JSON cannot
+    hold (NaN, infinity) raises ValueError; both leave the manifest as is."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
@@ -562,17 +581,43 @@ def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> l
     def path(name):
         return data.get(name) or os.path.join(out_dir, name.format(**vars(config)))
 
-    runner = StageRunner(out_dir)
-    for st in stage_plan(stage):
+    plan, runner, views = stage_plan(stage), StageRunner(out_dir), {}
+    for st in plan:  # first, in plan order; a failure waits for its stage
+        try:
+            views[st] = st.views(config)
+        except Exception as exc:
+            views[st] = exc
+
+    def step(st, fn=None):
+        """``st``'s body if due; runs it (with ``fn``, if given) unless False."""
         inputs = {name.format(**vars(config)): path(name) for name in st.inputs}
         outputs = [path(name) for name in st.outputs]
         try:
-            views = st.views(config)
-            runner.key(st.name, views, inputs)
-            body = functools.partial(st.body, list(inputs.values()), outputs, *views)
-            runner.run(st.name, outputs, body)
+            if isinstance(views[st], Exception):
+                raise views[st]
+            body = functools.partial(st.body, list(inputs.values()), outputs, *views[st])
+            due = runner.due(st.name, views[st], inputs, outputs) and body
+            if fn is not False:
+                runner.run(st.name, outputs, fn or body)
+            return due
         except Exception as exc:
             raise StageError(st, exc) from exc
+
+    i = 0
+    while i < len(plan):
+        j = next((j for j in range(i + 1, len(plan)) if _start(plan, j) == i), i)
+        if j > i and isinstance(views[plan[j]], list) and (body := step(plan[j], False)):
+            if usable_cpus() > 1:
+                names = ", ".join(s.name for s in plan[i:j])
+                print(f"[{plan[j].name}] running beside {names}")
+            try:
+                fan_out(lambda f: f(), [lambda: [step(st) for st in plan[i:j]], body])
+            except Exception as exc:  # a StageError: a stage between failed
+                raise exc if isinstance(exc, StageError) else StageError(plan[j], exc)
+            step(plan[j], lambda: None)  # joined: fan_out has returned
+        else:
+            step(plan[j := i])  # nothing starts early
+        i = j + 1
     recorded = {k: v for k, v in dataclasses.asdict(config).items() if k != "out"}
     for key, value in recorded.items():
         try:
@@ -580,4 +625,4 @@ def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> l
         except ValueError:
             raise ValueError(f"{key} must be a finite number, got {value!r}") from None
     write_json(os.path.join(out_dir, "pipeline_manifest.txt"), recorded)
-    return outputs
+    return [path(name) for name in plan[-1].outputs]

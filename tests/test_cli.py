@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shotfactor import backend, cli, lgcp
+from shotfactor import backend, cli, lgcp, pipeline
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
 from shotfactor.court import (
     CourtGrid,
@@ -705,6 +705,81 @@ class TestProcessFanOut:
         assert "chain broke in a worker" in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+    def test_evaluate_runs_beside_factorize_and_efficiency(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        """With more than one CPU, evaluate starts once lgcp is done and
+        says so in one line; the done lines are those of a one-CPU run, and
+        a stage subcommand starts nothing beside."""
+        outs = {}
+        for count in (1, 3):
+            self._cpus(monkeypatch, count)
+            capsys.readouterr()
+            argv = ["pipeline", "--config", workspace["config"]]
+            assert main([*argv, "--out", str(tmp_path / f"cpus{count}")]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            outs[count] = [line for line in lines if line.startswith("[")]
+        beside = "[evaluate] running beside factorize, efficiency"
+        assert outs[3].count(beside) == 1 and beside not in outs[1]
+        assert [line for line in outs[3] if line != beside] == outs[1]
+        argv = ["evaluate", "--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "running beside" not in capsys.readouterr().out
+
+    def test_factorize_failing_beside_evaluate_fails_in_one_line(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        """A factorize failure while evaluate runs in its worker exits with
+        factorize's code and one error line; the worker is gone and evaluate
+        is not recorded."""
+
+        def failing_fit(*args):
+            raise ValueError("factorize broke")
+
+        monkeypatch.setattr(pipeline, "fit_nmf", failing_fit)
+        self._cpus(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(argv) == STAGE_CODES["factorize"]
+        out, err = capsys.readouterr()
+        assert "[evaluate] running beside factorize, efficiency" in out
+        assert err.startswith("error: stage 'factorize' failed") and err.count("\n") == 1
+        assert "factorize broke" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        state = json.loads((tmp_path / "pipeline_state.txt").read_text())
+        assert list(state["stages"]) == ["ingest", "lgcp"]
+
+    def test_evaluate_failing_in_its_worker_fails_in_one_line(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        """An evaluate failure in its worker exits with evaluate's code and
+        one error line once factorize and efficiency are recorded, so the
+        next run skips four stages."""
+        parent, compare_surfaces = os.getpid(), pipeline.compare_surfaces
+
+        def compare_in_parent_only(*args):
+            if os.getpid() != parent:
+                raise ValueError("evaluate broke in its worker")
+            return compare_surfaces(*args)
+
+        monkeypatch.setattr(pipeline, "compare_surfaces", compare_in_parent_only)
+        self._cpus(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(argv) == STAGE_CODES["evaluate"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'evaluate' failed") and err.count("\n") == 1
+        assert "evaluate broke in its worker" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(pipeline, "compare_surfaces", compare_surfaces)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("up to date, skipping") == 4
+        assert "[evaluate] done (no record)" in out
 
 
 class TestPipelineCommand:

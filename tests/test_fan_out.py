@@ -1,5 +1,6 @@
 """Tests for ``pipeline.fan_out``, the process fan-out that the lgcp and
-evaluate stages run their independent units through.  Each case runs as if
+evaluate stages run their independent units through, and that runs the
+evaluate stage beside factorize and efficiency.  Each case runs as if
 the process's affinity mask held three CPUs, and each checks afterwards that
 no child process is left."""
 
@@ -59,6 +60,45 @@ def test_worker_exception_reaches_the_caller():
 
     with pytest.raises(ValueError, match="^bad item 5$"):
         fan_out(fn, list(range(7)))
+
+
+class PairError(Exception):
+    """An exception whose ``__init__`` takes other arguments than its args."""
+
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")
+        self.what = what
+
+
+def test_exception_that_does_not_unpickle_keeps_its_type_and_message():
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            raise PairError("item", x)
+        return x
+
+    with pytest.raises(PairError, match="^item: 1$") as raised:
+        fan_out(fn, list(range(7)))
+    assert raised.value.what == "item"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_os_error_keeps_its_file_name(tmp_path):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(FileNotFoundError, match="missing.csv'$"):
+        fan_out(lambda x: x if x != 1 else open(missing), list(range(3)))
+
+
+def test_unpicklable_result_fails_with_the_pickling_error():
+    """A result that cannot cross the pipe fails with what pickling it
+    raised, not with the worker's exit status."""
+    with pytest.raises(Exception, match="pickle") as raised:
+        fan_out(lambda x: (lambda: x) if x == 1 else x, list(range(3)))
+    assert not isinstance(raised.value, RuntimeError)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_that_exits_without_replying_names_its_status():
@@ -136,6 +176,51 @@ def test_workers_die_with_a_killed_pipeline(tmp_path):
         while alive and time.monotonic() < deadline:
             time.sleep(0.05)
             # a zombie has died: whoever adopted it has not reaped it yet
+            alive = [w for w in workers if (_proc_state(w) or ("Z",))[0] != "Z"]
+        assert not alive, f"workers {alive} outlived the pipeline"
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs /proc")
+def test_side_stage_workers_die_with_a_killed_pipeline(tmp_path):
+    """SIGKILL of a pipeline while evaluate runs beside factorize takes the
+    evaluate worker and the workers of its own fan-out with it."""
+    config = tmp_path / "config.txt"
+    config.write_text(
+        "tile_x = 5.0\ntile_y = 5.0\nn_players = 4\nk_star = 2\n"
+        "budget_min = 60\nbudget_max = 80\nmin_attempts = 10\nk = 2\n"
+        "k_list = [1, 2]\nlgcp_burn_in = 10\nlgcp_samples = 10\n"
+        "nmf_iters = 100000000\nnmf_tol = 0\n"
+        f"shots = {tmp_path / 'data' / 'shots.csv'}\n"
+    )
+    data = str(tmp_path / "data")
+    assert main(["synth", "--config", str(config), "--out", data]) == 0
+    argv = ["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", THREE_CPU_MAIN, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers, alive = [], []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and time.monotonic() < deadline:
+            time.sleep(0.05)
+            # the evaluate worker is the one child that has children itself
+            for side in _children(proc.pid):
+                if nested := _children(side):
+                    workers = [side, *nested]
+        assert len(workers) == 3, "evaluate did not fan out beside factorize"
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline, alive = time.monotonic() + 5, workers
+        while alive and time.monotonic() < deadline:
+            time.sleep(0.05)
             alive = [w for w in workers if (_proc_state(w) or ("Z",))[0] != "Z"]
         assert not alive, f"workers {alive} outlived the pipeline"
     finally:
