@@ -62,10 +62,10 @@ def write_json(path, obj) -> None:
 class CourtGrid:
     """Rectangular discretization of the offensive half court.
 
-    ``tile_size`` is the ``(x, y)`` pair of tile edges in feet, kept as
-    floats.  Tiles are half-open boxes ``[a, a + t)`` along each axis; the
-    court's far edges fold into the last tile so every in-court point maps
-    to exactly one tile.  Tile ids are row-major with x varying fastest.
+    ``tile_size`` is the ``(x, y)`` pair of tile edges in feet, floats that
+    divide the court's sides.  Tiles are half-open boxes ``[a, a + t)``; the
+    far edges fold into the last tile so every in-court point maps to
+    exactly one tile.  Tile ids are row-major with x varying fastest.
     """
 
     width: float = 35.0
@@ -81,14 +81,18 @@ class CourtGrid:
         for size in sizes:
             check_number("tile_size", size, 0, strict=True)
         object.__setattr__(self, "tile_size", tuple(map(float, sizes)))
+        for name, size in zip(("width", "length"), self.tile_size):
+            side = getattr(self, name)
+            if abs(round(side / size) * size - side) > 1e-9 * side:
+                raise ValueError(f"tile_size {size} must divide the court {name} {side}")
 
     @property
     def nx(self) -> int:
-        return int(np.ceil(self.width / self.tile_size[0]))
+        return round(self.width / self.tile_size[0])
 
     @property
     def ny(self) -> int:
-        return int(np.ceil(self.length / self.tile_size[1]))
+        return round(self.length / self.tile_size[1])
 
     @property
     def n_tiles(self) -> int:

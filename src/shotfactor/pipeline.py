@@ -554,22 +554,16 @@ def stage_plan(target: str | None = None) -> list:
     return plan
 
 
-def _start(plan: list, j: int) -> int:
-    """Where ``plan[j]`` may start: after its inputs' writers, unless read later."""
-    writers = [i + 1 for i in range(j) if set(plan[i].outputs) & set(plan[j].inputs)]
-    read = any(set(plan[j].outputs) & set(s.inputs) for s in plan[j + 1 :])
-    return j if read else max(writers, default=0)
-
-
 def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> list:
     """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
     the config, less its ``out``, in ``pipeline_manifest.txt``; returns the
-    output paths of the last stage.  Views are built up front, in plan
-    order; a due stage that may start early (``_start``) runs in a
-    ``fan_out`` worker beside the stages before its place, where it is
-    joined.  A failure inside a stage, its views included, raises
-    ``StageError`` with that stage's code, and a config value JSON cannot
-    hold (NaN, infinity) raises ValueError; both leave the manifest as is."""
+    output paths of the last stage.  A stage builds its views when keyed.
+    No planned stage reads the last, so once its inputs' writers are done a
+    due last stage runs in a ``fan_out`` worker beside the stages between,
+    and is joined at its place.  A failure inside a stage, its views
+    included, raises ``StageError`` with that stage's code, and a config
+    value JSON cannot hold (NaN, infinity) raises ValueError; both leave
+    the manifest as is."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
@@ -581,48 +575,50 @@ def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> l
     def path(name):
         return data.get(name) or os.path.join(out_dir, name.format(**vars(config)))
 
-    plan, runner, views = stage_plan(stage), StageRunner(out_dir), {}
-    for st in plan:  # first, in plan order; a failure waits for its stage
-        try:
-            views[st] = st.views(config)
-        except Exception as exc:
-            views[st] = exc
+    plan, runner = stage_plan(stage), StageRunner(out_dir)
 
-    def step(st, fn=None):
-        """``st``'s body if due; runs it (with ``fn``, if given) unless False."""
+    def key(st):
+        """``st``'s outputs and its body, the body None when it is up to date."""
         inputs = {name.format(**vars(config)): path(name) for name in st.inputs}
         outputs = [path(name) for name in st.outputs]
+        views = st.views(config)
+        body = functools.partial(st.body, list(inputs.values()), outputs, *views)
+        return outputs, runner.due(st.name, views, inputs, outputs) and body
+
+    def record(st, fn=None):
+        """Key ``st`` and run it, or ``fn`` in place of its body, and record it."""
         try:
-            if isinstance(views[st], Exception):
-                raise views[st]
-            body = functools.partial(st.body, list(inputs.values()), outputs, *views[st])
-            due = runner.due(st.name, views[st], inputs, outputs) and body
-            if fn is not False:
-                runner.run(st.name, outputs, fn or body)
-            return due
+            outputs, body = key(st)
+            runner.run(st.name, outputs, fn or body)
         except Exception as exc:
             raise StageError(st, exc) from exc
 
-    i = 0
-    while i < len(plan):
-        j = next((j for j in range(i + 1, len(plan)) if _start(plan, j) == i), i)
-        if j > i and isinstance(views[plan[j]], list) and (body := step(plan[j], False)):
-            if usable_cpus() > 1:
-                names = ", ".join(s.name for s in plan[i:j])
-                print(f"[{plan[j].name}] running beside {names}")
-            try:
-                fan_out(lambda f: f(), [lambda: [step(st) for st in plan[i:j]], body])
-            except Exception as exc:  # a StageError: a stage between failed
-                raise exc if isinstance(exc, StageError) else StageError(plan[j], exc)
-            step(plan[j], lambda: None)  # joined: fan_out has returned
-        else:
-            step(plan[j := i])  # nothing starts early
-        i = j + 1
+    last = plan[-1]  # no planned stage reads it
+    writers = [i for i, st in enumerate(plan) if set(st.outputs) & set(last.inputs)]
+    fork = max(writers, default=-1) + 1  # where the last stage may start
+    for st in plan[:fork]:
+        record(st)
+    between = plan[fork:-1]
+    try:
+        body = key(last)[1] if between else None
+    except Exception:  # raised again when the last stage is keyed at its place
+        body = None
+    if body:
+        if usable_cpus() > 1:
+            print(f"[{last.name}] running beside {', '.join(s.name for s in between)}")
+        try:
+            fan_out(lambda f: f(), [lambda: [record(st) for st in between], body])
+        except Exception as exc:  # a StageError: a stage between failed
+            raise exc if isinstance(exc, StageError) else StageError(last, exc)
+        record(last, lambda: None)  # joined: fan_out has returned
+    else:
+        for st in between + [last]:
+            record(st)
     recorded = {k: v for k, v in dataclasses.asdict(config).items() if k != "out"}
-    for key, value in recorded.items():
+    for name, value in recorded.items():
         try:
             json.dumps(value, allow_nan=False)
         except ValueError:
-            raise ValueError(f"{key} must be a finite number, got {value!r}") from None
+            raise ValueError(f"{name} must be a finite number, got {value!r}") from None
     write_json(os.path.join(out_dir, "pipeline_manifest.txt"), recorded)
-    return [path(name) for name in plan[-1].outputs]
+    return [path(name) for name in last.outputs]

@@ -119,10 +119,9 @@ def sample_player_shots(
     """Draw one player's shot locations from the mixed intensity.
 
     The weights are normalized to sum 1, so the expected shot total is the
-    budget on a court that is a whole number of tiles (unit-volume bases
-    count an overhanging tile's full area).  Counts are Poisson per tile,
-    with the mean taken over the tile's part of the court; locations are
-    uniform over that part.  Returns (x, y) arrays ordered by tile id.
+    budget.  Counts are Poisson per tile, with mean the intensity times the
+    tile's area; locations are uniform over the tile.  Returns (x, y)
+    arrays ordered by tile id.
     """
     weights_row = np.asarray(weights_row, dtype=np.float64)
     total = weights_row.sum()
@@ -130,20 +129,12 @@ def sample_player_shots(
         raise ValueError("player weights must have positive sum")
     lam = budget * (weights_row / total) @ bases
     tx, ty = grid.tile_size
-    tiles = np.arange(grid.n_tiles)
-    x0 = (tiles % grid.nx) * tx
-    y0 = (tiles // grid.nx) * ty
-    # A last row or column may overhang the court: only its part counts.
-    wx = np.minimum(tx, grid.width - x0)
-    wy = np.minimum(ty, grid.length - y0)
-    # The bracketed product keeps each mean bit-equal to lam * tile_area on
-    # a court that is a whole number of tiles.
-    counts = rng.poisson(lam * (wx * wy))
+    counts = rng.poisson(lam * grid.tile_area)
     xs, ys = [], []
-    for v in np.nonzero(counts)[0]:
+    for v in np.nonzero(counts)[0].tolist():  # ints: numpy scalar math is slow here
         c = int(counts[v])
-        xs.append(x0[v] + rng.uniform(0.0, wx[v], size=c))
-        ys.append(y0[v] + rng.uniform(0.0, wy[v], size=c))
+        xs.append(v % grid.nx * tx + rng.uniform(0.0, tx, size=c))
+        ys.append(v // grid.nx * ty + rng.uniform(0.0, ty, size=c))
     if not xs:
         return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ys)

@@ -589,6 +589,7 @@ class TestStageCommands:
             ("pipeline", "length_scale", "true", "lgcp", "length_scale must be"),
             ("pipeline", "nmf_tol", "Infinity", "factorize", "tol must be"),
             ("pipeline", "min_attempts", "true", "ingest", "min_attempts must be"),
+            ("pipeline", "tile_x", "3.0", "ingest", "tile_size 3.0 must divide"),
             ("ingest", "nmf_tol", "Infinity", None, "nmf_tol must be a finite"),
             ("ingest", "alpha", "Infinity", None, "alpha must be a finite"),
         ],
@@ -712,7 +713,7 @@ class TestProcessFanOut:
     ):
         """With more than one CPU, evaluate starts once lgcp is done and
         says so in one line; the done lines are those of a one-CPU run, and
-        a stage subcommand starts nothing beside."""
+        no stage subcommand starts anything beside."""
         outs = {}
         for count in (1, 3):
             self._cpus(monkeypatch, count)
@@ -724,9 +725,53 @@ class TestProcessFanOut:
         beside = "[evaluate] running beside factorize, efficiency"
         assert outs[3].count(beside) == 1 and beside not in outs[1]
         assert [line for line in outs[3] if line != beside] == outs[1]
-        argv = ["evaluate", "--config", workspace["config"], "--out", str(tmp_path)]
+        for command in ("ingest", "fit-lgcp", "factorize", "fit-efficiency", "evaluate"):
+            argv = [command, "--config", workspace["config"], "--out", str(tmp_path)]
+            assert main(argv) == 0, command
+            assert "running beside" not in capsys.readouterr().out, command
+
+    def test_last_stage_failing_to_key_fails_its_reader_in_order(
+        self, workspace, finished, tmp_path, monkeypatch, capsys
+    ):
+        """A view of evaluate that fails when it is keyed before the fork
+        starts nothing beside: the failure is raised again at evaluate's
+        place, so factorize, the first stage to read ``nmf_tol``, fails
+        first, in one line and with no child left."""
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        shots = str(workspace["root"] / "data" / "shots.csv")
+        config_path = _write_config(str(tmp_path), shots=shots, nmf_tol="Infinity")
+        self._cpus(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", config_path, "--out", str(out)]
+        assert main(argv) == STAGE_CODES["factorize"]
+        out_text, err = capsys.readouterr()
+        assert "running beside" not in out_text
+        assert err.startswith("error: stage 'factorize' failed") and err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_corrupt_report_reruns_evaluate_beside_skipped_stages(
+        self, workspace, finished, tmp_path, monkeypatch, capsys
+    ):
+        """Evaluate is keyed before the fork and again at its place, and
+        ``StageRunner.due`` decides once: the mismatch is reported once and
+        evaluate reruns in its worker, restoring the report's bytes."""
+        shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+        report = tmp_path / "eval_report.txt"
+        report.write_text("corrupted\n")
+        self._cpus(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", workspace["config"], "--out", str(tmp_path)]
         assert main(argv) == 0
-        assert "running beside" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        mismatch = "[evaluate] checksum mismatch on eval_report.txt; re-running"
+        assert lines.count(mismatch) == 1
+        assert "[evaluate] running beside factorize, efficiency" in lines
+        assert "[factorize] up to date, skipping" in lines
+        assert "[efficiency] up to date, skipping" in lines
+        assert lines.count("[evaluate] done (checksum mismatch)") == 1
+        assert report.read_bytes() == (finished / "eval_report.txt").read_bytes()
 
     def test_factorize_failing_beside_evaluate_fails_in_one_line(
         self, workspace, tmp_path, monkeypatch, capsys

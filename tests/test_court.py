@@ -89,11 +89,32 @@ class TestCourtGrid:
         assert g == CourtGrid(4, 2, (2.0, 1.0))
         assert (g.width, g.length) == (4, 2) and type(g.width) is int
 
-    def test_non_divisible_tile_rounds_up(self):
-        """Tile counts use ceiling division so edge tiles absorb the remainder."""
-        g = CourtGrid(tile_size=(3.0, 3.0))
-        assert (g.nx, g.ny, g.n_tiles) == (12, 17, 204)
-        assert tile_indices([35.0], [50.0], g).tolist() == [203]
+    @pytest.mark.parametrize(
+        "tile_size, message",
+        [
+            ((3.0, 2.0), "tile_size 3.0 must divide the court width 35.0"),
+            ((2.5, 3.0), "tile_size 3.0 must divide the court length 50.0"),
+            ((70.0, 2.0), "tile_size 70.0 must divide the court width 35.0"),
+        ],
+        ids=["width", "length", "wider-than-the-court"],
+    )
+    def test_tile_that_does_not_divide_the_court_rejected(
+        self, tmp_path, tile_size, message
+    ):
+        """Each tile edge must divide its court side, so no tile overhangs
+        the court; a file whose grid header has such a grid fails at its
+        first line."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CourtGrid(tile_size=tile_size)
+        path = tmp_path / "s.csv"
+        path.write_text("# grid 35.0 50.0 %r %r\na,0.5\n" % tile_size)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: {message}")):
+            read_labeled_csv(path)
+
+    def test_rounding_in_the_side_over_edge_ratio_adds_no_tile(self):
+        """2.1 / 0.3 is 7.000000000000001 in floating point: seven tiles."""
+        grid = CourtGrid(2.1, 2.7, (0.3, 0.3))
+        assert (grid.nx, grid.ny, grid.n_tiles) == (7, 9, 63)
 
     def test_tile_centers_row_major_x_fastest(self):
         centers = DESK.tile_centers()
@@ -103,7 +124,7 @@ class TestCourtGrid:
         np.testing.assert_allclose(centers[14], [1.25, 3.0])
         np.testing.assert_allclose(centers[-1], [35 - 1.25, 50 - 1.0])
 
-    @pytest.mark.parametrize("grid", [DESK, CourtGrid(7.0, 5.0, (3.0, 2.0))])
+    @pytest.mark.parametrize("grid", [DESK, CourtGrid(6.0, 4.0, (3.0, 2.0))])
     def test_tile_centers_are_the_axis_centers(self, grid):
         """Column x of tile_centers() repeats the x axis centres per row,
         column y repeats each y axis centre along its row."""

@@ -136,31 +136,6 @@ class TestSamplePlayerShots:
         assert np.all((xs >= 0) & (xs <= DESK.width))
         assert np.all((ys >= 0) & (ys <= DESK.length))
 
-    def test_overhanging_last_tiles_keep_shots_on_court(self):
-        """On a court that is not a whole number of tiles wide or long, the
-        last column and row draw only over their part of the court."""
-        grid = CourtGrid(35.0, 50.0, (3.0, 3.0))
-        flat = np.full((1, grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
-        rng = np.random.default_rng(8)
-        xs, ys = sample_player_shots(np.ones(1), flat, 100.0 * grid.n_tiles, grid, rng)
-        assert np.all((xs >= 0) & (xs <= grid.width))
-        assert np.all((ys >= 0) & (ys <= grid.length))
-        assert _tile_counts(xs, ys, grid).min() > 0
-        assert xs.max() > grid.width - 0.5 and ys.max() > grid.length - 0.5
-
-    def test_overhanging_last_tiles_keep_the_court_density(self):
-        """A flat intensity puts as many shots per square foot in the 2 ft
-        wide last column and row of 3 ft tiles as in the 33 x 48 ft rest of
-        the court, within 5%."""
-        grid = CourtGrid(35.0, 50.0, (3.0, 3.0))
-        flat = np.full((1, grid.n_tiles), 1.0 / (grid.n_tiles * grid.tile_area))
-        rng = np.random.default_rng(9)
-        xs, ys = sample_player_shots(np.ones(1), flat, 2e5, grid, rng)
-        edge = (xs >= 33.0) | (ys >= 48.0)
-        edge_density = edge.sum() / (35.0 * 50.0 - 33.0 * 48.0)
-        interior_density = (~edge).sum() / (33.0 * 48.0)
-        assert abs(edge_density / interior_density - 1.0) < 0.05
-
     def test_zero_weights_rejected(self):
         """A player with no positive weight cannot shoot."""
         with pytest.raises(ValueError, match="positive sum"):
