@@ -19,7 +19,7 @@ def log_factorial(counts):
     to the largest count.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    top = int(counts.max()) + 1 if counts.size else 0
+    top = int(counts.max(initial=0)) + 1
     table = np.array([math.lgamma(c + 1.0) for c in range(top)], dtype=np.float64)
     return table[counts]
 

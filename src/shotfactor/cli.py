@@ -182,8 +182,8 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, OSError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

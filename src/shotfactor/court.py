@@ -81,8 +81,12 @@ class CourtGrid:
         for size in sizes:
             check_number("tile_size", size, 0, strict=True)
         object.__setattr__(self, "tile_size", tuple(map(float, sizes)))
+        tiles = 1  # tile ids are int64
         for name, size in zip(("width", "length"), self.tile_size):
             side = getattr(self, name)
+            tiles *= round(min(side / size, 2**63))
+            if tiles >= 2**63:
+                raise ValueError(f"tile_size {size} is too small for the court {name} {side}")
             if abs(round(side / size) * size - side) > 1e-9 * side:
                 raise ValueError(f"tile_size {size} must divide the court {name} {side}")
 
@@ -246,8 +250,6 @@ def split_holdout(
     )
     in_test = np.zeros(len(shots), dtype=bool)
     for rank, (start, m) in enumerate(zip(starts.tolist(), sizes.tolist())):
-        if m < 2:
-            continue
         k = min(max(int(round(fraction * m)), 1), m - 1)
         # stream tag 1: split draws stay disjoint from other stages on one seed
         rng = np.random.default_rng([seed, 1, rank])

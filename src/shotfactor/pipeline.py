@@ -558,12 +558,13 @@ def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> l
     """Run the stages of ``stage_plan(stage)`` in ``out_dir``, then record
     the config, less its ``out``, in ``pipeline_manifest.txt``; returns the
     output paths of the last stage.  A stage builds its views when keyed.
-    No planned stage reads the last, so once its inputs' writers are done a
-    due last stage runs in a ``fan_out`` worker beside the stages between,
-    and is joined at its place.  A failure inside a stage, its views
-    included, raises ``StageError`` with that stage's code, and a config
-    value JSON cannot hold (NaN, infinity) raises ValueError; both leave
-    the manifest as is."""
+    No planned stage reads the last, so once its inputs' writers are done
+    one ``fan_out`` call runs the stages between; a due last stage runs its
+    body in a worker of that call and is joined at its place, else the call
+    holds one task, run in order in this process.  A failure inside a
+    stage, its views included, raises ``StageError`` with that stage's
+    code, and a config value JSON cannot hold (NaN, infinity) raises
+    ValueError; both leave the manifest as is."""
     os.makedirs(out_dir, exist_ok=True)
     if not os.path.exists(config.shots):
         raise FileNotFoundError(f"shot CSV not found: {config.shots}")
@@ -603,17 +604,14 @@ def run_pipeline(config: PipelineConfig, out_dir, stage: str | None = None) -> l
         body = key(last)[1] if between else None
     except Exception:  # raised again when the last stage is keyed at its place
         body = None
-    if body:
-        if usable_cpus() > 1:
-            print(f"[{last.name}] running beside {', '.join(s.name for s in between)}")
-        try:
-            fan_out(lambda f: f(), [lambda: [record(st) for st in between], body])
-        except Exception as exc:  # a StageError: a stage between failed
-            raise exc if isinstance(exc, StageError) else StageError(last, exc)
-        record(last, lambda: None)  # joined: fan_out has returned
-    else:
-        for st in between + [last]:
-            record(st)
+    if body and usable_cpus() > 1:
+        print(f"[{last.name}] running beside {', '.join(s.name for s in between)}")
+    tasks = [lambda: [record(st) for st in between]] + ([body] if body else [])
+    try:
+        fan_out(lambda f: f(), tasks)  # a lone task runs here, unforked
+    except Exception as exc:  # a StageError: a stage between failed
+        raise exc if isinstance(exc, StageError) else StageError(last, exc)
+    record(last, body and (lambda: None))  # joined, or keyed and run at its place
     recorded = {k: v for k, v in dataclasses.asdict(config).items() if k != "out"}
     for name, value in recorded.items():
         try:

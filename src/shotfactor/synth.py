@@ -130,13 +130,11 @@ def sample_player_shots(
     lam = budget * (weights_row / total) @ bases
     tx, ty = grid.tile_size
     counts = rng.poisson(lam * grid.tile_area)
-    xs, ys = [], []
+    xs, ys = [np.empty(0)], [np.empty(0)]  # no shot: two empty arrays
     for v in np.nonzero(counts)[0].tolist():  # ints: numpy scalar math is slow here
         c = int(counts[v])
         xs.append(v % grid.nx * tx + rng.uniform(0.0, tx, size=c))
         ys.append(v // grid.nx * ty + rng.uniform(0.0, ty, size=c))
-    if not xs:
-        return np.empty(0), np.empty(0)
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -150,8 +148,6 @@ def sample_outcomes(
     """Draw a latent type per shot, then a Bernoulli outcome from its logit."""
     tiles = np.ascontiguousarray(tiles, dtype=np.int64)
     s = len(tiles)
-    if s == 0:
-        return np.empty(0, dtype=np.int64)
     row = np.asarray(weights_row, dtype=np.float64)[None, :]
     table, totals = backend.type_weights(row, bases, np.zeros(s, int), tiles)
     types = backend.draw_type_indices(np.cumsum(table, axis=1), totals, rng.random(s))
@@ -175,9 +171,7 @@ def make_planted_truth(config: SynthConfig) -> PlantedTruth:
     )
     lo, hi = config.budget_range
     budgets = rng.integers(lo, hi + 1, size=config.n_players).astype(np.float64)
-    beta0 = np.array(
-        [DEFAULT_BETA0[i % len(DEFAULT_BETA0)] for i in range(config.k_star)]
-    )
+    beta0 = np.array(DEFAULT_BETA0[: config.k_star])  # the bases allow k_star <= 6
     beta = beta0[None, :] + config.sigma_star * rng.standard_normal(
         (config.n_players, config.k_star)
     )

@@ -21,8 +21,13 @@ def _random_loglik_case(rng, v=40):
 class TestLogFactorial:
     @pytest.mark.parametrize(
         "counts",
-        [np.arange(501), np.zeros((3, 4), dtype=np.int64), np.zeros(0)],
-        ids=["0..500", "all_zero", "empty"],
+        [
+            np.arange(501),
+            np.zeros((3, 4), dtype=np.int64),
+            np.zeros(0),
+            np.array([], dtype=int),
+        ],
+        ids=["0..500", "all_zero", "empty", "empty_int"],
     )
     def test_matches_scipy_gammaln(self, counts):
         got = bk.log_factorial(counts)

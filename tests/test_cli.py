@@ -382,6 +382,7 @@ class TestSynthCommand:
             ("n_players", "2.5", "n_players must be an integer >= 1"),
             ("k_star", "true", "k_star must be an integer >= 1"),
             ("sigma_star", "NaN", "sigma_star must be a number >= 0"),
+            ("tile_x", "1e-320", "tile_size 1e-320 is too small for the court width"),
         ],
     )
     def test_bad_value_exits_one_naming_the_field(
@@ -394,6 +395,18 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_out_of_memory_exits_one_in_one_line(self, tmp_path, monkeypatch, capsys):
+        """A dataset too large for memory exits 1 with one error line, not a
+        traceback, also when the MemoryError carries no message."""
+
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_dataset", no_memory)
+        config_path = _write_config(str(tmp_path))
+        assert _synth(config_path, tmp_path / "big") == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 class TestStageCommands:
@@ -590,6 +603,7 @@ class TestStageCommands:
             ("pipeline", "nmf_tol", "Infinity", "factorize", "tol must be"),
             ("pipeline", "min_attempts", "true", "ingest", "min_attempts must be"),
             ("pipeline", "tile_x", "3.0", "ingest", "tile_size 3.0 must divide"),
+            ("pipeline", "tile_x", "1e-320", "ingest", "tile_size 1e-320"),
             ("ingest", "nmf_tol", "Infinity", None, "nmf_tol must be a finite"),
             ("ingest", "alpha", "Infinity", None, "alpha must be a finite"),
         ],
@@ -825,6 +839,28 @@ class TestProcessFanOut:
         out = capsys.readouterr().out
         assert out.count("up to date, skipping") == 4
         assert "[evaluate] done (no record)" in out
+
+    def test_resumed_efficiency_runs_in_order_without_a_fork(
+        self, workspace, finished, tmp_path, monkeypatch, capsys
+    ):
+        """With evaluate up to date, the one ``fan_out`` task runs factorize
+        and efficiency in this process: nothing runs beside, no child is
+        forked, and the deleted efficiency files come back as they were."""
+        shutil.copytree(finished, tmp_path, dirs_exist_ok=True)
+        for path in tmp_path.glob("efficiency_*.csv"):
+            path.unlink()
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        self._cpus(monkeypatch, 3)
+        capsys.readouterr()
+        argv = ["pipeline", "--config", workspace["config"], "--out", str(tmp_path)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not [line for line in lines if "running beside" in line]
+        assert "[efficiency] done (output missing)" in lines
+        assert sum(line.endswith("up to date, skipping") for line in lines) == 4
+        assert forks == []
+        assert _stage_outputs(tmp_path) == _stage_outputs(finished)
 
 
 class TestPipelineCommand:

@@ -95,15 +95,18 @@ class TestCourtGrid:
             ((3.0, 2.0), "tile_size 3.0 must divide the court width 35.0"),
             ((2.5, 3.0), "tile_size 3.0 must divide the court length 50.0"),
             ((70.0, 2.0), "tile_size 70.0 must divide the court width 35.0"),
+            ((1e-320, 2.0), "tile_size 1e-320 is too small for the court width 35.0"),
+            ((1e-12, 1e-12), "tile_size 1e-12 is too small for the court length 50.0"),
         ],
-        ids=["width", "length", "wider-than-the-court"],
+        ids=["width", "length", "wider-than-the-court", "infinite-count", "int64-ids"],
     )
     def test_tile_that_does_not_divide_the_court_rejected(
         self, tmp_path, tile_size, message
     ):
         """Each tile edge must divide its court side, so no tile overhangs
-        the court; a file whose grid header has such a grid fails at its
-        first line."""
+        the court, and be large enough that side / edge is finite and the
+        tile count fits int64 tile ids; a file whose grid header has such
+        a grid fails at its first line."""
         with pytest.raises(ValueError, match=re.escape(message)):
             CourtGrid(tile_size=tile_size)
         path = tmp_path / "s.csv"

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from shotfactor.court import CourtGrid, read_labeled_csv, read_shot_csv, tile_indices
 from shotfactor.synth import (
+    DEFAULT_BETA0,
     PlantedTruth,
     SynthConfig,
     generate_dataset,
@@ -136,6 +137,14 @@ class TestSamplePlayerShots:
         assert np.all((xs >= 0) & (xs <= DESK.width))
         assert np.all((ys >= 0) & (ys <= DESK.length))
 
+    def test_zero_budget_gives_two_empty_float_arrays(self):
+        """A player who draws no shot gets empty x and y arrays of floats."""
+        xs, ys = sample_player_shots(
+            np.array([1.0, 1.0]), B22, 0.0, G22, np.random.default_rng(0)
+        )
+        for a in (xs, ys):
+            assert a.shape == (0,) and a.dtype == np.float64
+
     def test_zero_weights_rejected(self):
         """A player with no positive weight cannot shoot."""
         with pytest.raises(ValueError, match="positive sum"):
@@ -190,7 +199,7 @@ class TestSampleOutcomes:
             np.array([0.0]),
             np.random.default_rng(0),
         )
-        assert out.shape == (0,)
+        assert out.shape == (0,) and out.dtype == np.int64
 
 
 class TestMakePlantedTruth:
@@ -199,6 +208,11 @@ class TestMakePlantedTruth:
         truth = make_planted_truth(SynthConfig(n_players=20, seed=0, grid=DESK))
         assert np.all(truth.weights >= 0)
         np.testing.assert_allclose(truth.weights.sum(axis=1), np.ones(20), atol=1e-12)
+
+    @pytest.mark.parametrize("k_star", range(1, 7))
+    def test_global_logits_are_the_first_k_star_defaults(self, k_star):
+        truth = make_planted_truth(SynthConfig(n_players=3, k_star=k_star, grid=DESK))
+        assert truth.beta0.tolist() == list(DEFAULT_BETA0[:k_star])
 
     def test_budgets_respect_range(self):
         """Shot budgets land inside the configured range."""
