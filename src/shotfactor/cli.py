@@ -10,7 +10,7 @@ in --out when given, and the truth files and manifest beside it.
 stage through the same runner, after the stages whose outputs it reads,
 which skip when they are up to date.
 
-Each subcommand runs with every loaded OpenBLAS held to one thread, so its
+Each subcommand runs with numpy's OpenBLAS held to one thread, so its
 artifacts do not depend on the BLAS thread count (see ``one_blas_thread``).
 """
 
@@ -21,6 +21,8 @@ import contextlib
 import ctypes
 import os
 import sys
+
+from numpy.linalg import _umath_linalg
 
 from .nmf import LOSSES
 from .pipeline import PipelineConfig, StageError, load_config, run_pipeline
@@ -40,39 +42,26 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 def openblas_thread_controls() -> list:
-    """A (get, set) pair of thread-count functions per loaded OpenBLAS.
+    """The (get, set) thread-count pair of the OpenBLAS numpy calls, if any.
 
-    Libraries are found by name in ``/proc/self/maps``; an empty list means
-    there is no such file or no loaded OpenBLAS exports the symbols.
+    Symbol lookup on numpy's linear-algebra extension also searches the
+    libraries it links, so this finds the BLAS behind every numpy product
+    and factorization; an empty list means it exports none of the pairs.
     """
-    try:
-        with open("/proc/self/maps") as f:
-            rows = [line.rstrip("\n").split(maxsplit=5) for line in f]
-    except OSError:
-        return []
-    paths = sorted(
-        {row[5] for row in rows if len(row) == 6 and "openblas" in row[5].lower()}
-    )
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            set_ = getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get = getattr(lib, get_name, None)
+        set_ = getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return [(get, set_)]
+    return []
 
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Hold every loaded OpenBLAS to one thread; restore the counts after.
+    """Hold numpy's OpenBLAS to one thread; restore its count after.
 
     Threaded OpenBLAS kernels may round differently with the thread count;
     holding one thread makes artifacts byte-identical whatever

@@ -1,11 +1,14 @@
 """Tests for the command-line interface and the staged pipeline."""
 
+import builtins
+import inspect
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +18,18 @@ from shotfactor import backend, cli, lgcp, pipeline
 from shotfactor.cli import main, one_blas_thread, openblas_thread_controls
 from shotfactor.court import (
     CourtGrid,
+    build_count_matrix,
     read_count_csv,
     read_labeled_csv,
+    read_tile_csv,
+    split_holdout,
     write_labeled_csv,
 )
 from shotfactor.efficiency import EfficiencyConfig
 from shotfactor.evaluate import EvalConfig
-from shotfactor.lgcp import LgcpConfig
-from shotfactor.nmf import NmfConfig
+from shotfactor.gp import KernelHyper, build_cov_factor
+from shotfactor.lgcp import LgcpConfig, fit_cohort
+from shotfactor.nmf import NmfConfig, fit_nmf
 from shotfactor.pipeline import (
     STAGES,
     PipelineConfig,
@@ -30,7 +37,7 @@ from shotfactor.pipeline import (
     parse_config_file,
     run_pipeline,
 )
-from shotfactor.synth import SynthConfig
+from shotfactor.synth import SynthConfig, generate_shots, make_planted_truth
 
 STAGE_CODES = {stage.name: stage.code for stage in STAGES}
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -261,10 +268,38 @@ needs_openblas_control = pytest.mark.skipif(
 )
 
 
+needs_proc_maps = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps to scan"
+)
+
+
+def _mapped_openblas_getters():
+    """The thread-count getter of every OpenBLAS named in /proc/self/maps
+    that exports one: a reference for the hold, independent of how the CLI
+    finds its control."""
+    import ctypes
+
+    from shotfactor.cli import _OPENBLAS_THREAD_SYMBOLS
+
+    with open("/proc/self/maps") as f:
+        rows = [line.rstrip("\n").split(maxsplit=5) for line in f]
+    paths = {row[5] for row in rows if len(row) == 6 and "openblas" in row[5].lower()}
+    getters = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            if get is not None and hasattr(lib, set_name):
+                get.argtypes, get.restype = [], ctypes.c_int
+                getters.append(get)
+                break
+    return getters
+
+
 @pytest.fixture
 def two_blas_threads():
-    """Every loaded OpenBLAS set to two threads (as far as it allows),
-    with the original counts restored after the test."""
+    """Numpy's OpenBLAS set to two threads (as far as it allows), with the
+    original count restored after the test."""
     controls = openblas_thread_controls()
     original = [get() for get, _ in controls]
     for _, set_ in controls:
@@ -305,6 +340,54 @@ class TestBlasThreadHold:
         assert main(["synth"]) == (1 if fails else 0)
         assert seen == [1] * len(two_blas_threads)
         assert [get() for get, _ in two_blas_threads] == before
+
+    @needs_proc_maps
+    def test_hold_reaches_every_openblas_a_cli_process_maps(self):
+        """In a process with only numpy and shotfactor imported, under
+        OPENBLAS_NUM_THREADS=2, every OpenBLAS the process map names reads
+        one thread inside the hold and two after it."""
+        script = textwrap.dedent(inspect.getsource(_mapped_openblas_getters))
+        script += textwrap.dedent(
+            """
+            from shotfactor.cli import one_blas_thread
+            getters = _mapped_openblas_getters()
+            before = [get() for get in getters]
+            with one_blas_thread():
+                inside = [get() for get in getters]
+            print([before, inside, [get() for get in getters]])
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "2"}
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        before, inside, after = json.loads(result.stdout)
+        if not before:
+            pytest.skip("no mapped OpenBLAS exports a thread-count control")
+        if min(before) < 2:
+            pytest.skip("OpenBLAS caps its thread count below two here")
+        assert inside == [1] * len(before)
+        assert after == [2] * len(before)
+
+    @needs_proc_maps
+    def test_discovery_reads_nothing_under_proc(self, monkeypatch):
+        """With every file under /proc unreadable, the control is still
+        found wherever the process map names an OpenBLAS."""
+        if not _mapped_openblas_getters():
+            pytest.skip("no mapped OpenBLAS exports a thread-count control")
+        real_open = builtins.open
+
+        def open_but_not_proc(file, *args, **kwargs):
+            if str(file).startswith("/proc"):
+                raise OSError(f"{file} is unreadable")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", open_but_not_proc)
+        assert len(openblas_thread_controls()) == 1
 
     def test_missing_control_warns_once_and_runs(self, monkeypatch, capsys):
         """Without a thread control the body still runs, after one
@@ -911,6 +994,30 @@ class TestPipelineCommand:
         }
         named |= {"pipeline_manifest.txt", "pipeline_state.txt"}
         assert sorted(os.listdir(tmp_path)) == sorted(named)
+
+    def test_library_calls_give_the_pipeline_surfaces_and_bases(
+        self, workspace, finished
+    ):
+        """The library calls of the README's example, at the pipeline's
+        config, give the bytes of its surfaces and bases."""
+        grid = CourtGrid(tile_size=(2.5, 2.0))
+        with one_blas_thread():
+            synth = SynthConfig(
+                n_players=6, k_star=2, budget_range=(80, 120), seed=3, grid=grid
+            )
+            shots = generate_shots(make_planted_truth(synth), seed=3)
+            train, _ = split_holdout(shots, 0.1, seed=3)
+            cm = build_count_matrix(train, grid, min_attempts=20)
+            factor = build_cov_factor(grid, KernelHyper())
+            lgcp = LgcpConfig(burn_in=100, n_samples=100, thinning=1, seed=3)
+            surfaces, _ = fit_cohort(cm.counts, factor, grid, lgcp)
+            nmf = NmfConfig(max_iters=500, restarts=2, seed=3)
+            fit = fit_nmf(surfaces, 2, loss="kl", config=nmf)
+        players, written_surfaces, _ = read_tile_csv(finished / "surfaces.csv")
+        _, written_bases, _ = read_tile_csv(finished / "factors_kl_k2_B.csv")
+        assert list(players) == list(cm.players)
+        assert np.array_equal(surfaces, written_surfaces)
+        assert np.array_equal(fit.bases, written_bases)
 
     def test_only_ingest_takes_the_court_from_the_config(self):
         """After ingest every stage reads the court from its input files'

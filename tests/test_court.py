@@ -396,7 +396,7 @@ class TestShotCsvRoundTrip:
 
 def test_every_text_open_goes_through_open_text():
     """One helper decides how the package encodes text files: any other
-    ``open`` is binary, or cli's read of ``/proc/self/maps``."""
+    ``open`` is binary."""
     helper = next(
         node
         for node in ast.walk(ast.parse(Path(court.__file__).read_text("utf-8")))
@@ -415,10 +415,6 @@ def test_every_text_open_goes_through_open_text():
             args.update({k.arg: k.value for k in node.keywords})
             mode = args.get(1, args.get("mode"))
             if isinstance(mode, ast.Constant) and "b" in mode.value:
-                continue
-            target = args.get(0, args.get("file"))
-            maps = getattr(target, "value", None) == "/proc/self/maps"
-            if path.name == "cli.py" and maps:
                 continue
             if not (path.name == "court.py" and node.lineno in inside):
                 offenders.append(f"{path.name}:{node.lineno}")
