@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import json
@@ -156,9 +157,14 @@ class ShotTable:
         return ShotTable(self.players[rows], self.x[rows], self.y[rows], self.made[rows])
 
     def player_rows(self, players: Sequence[str]) -> np.ndarray:
-        """Each shot's position in ``players``, or -1 for a player not in it."""
+        """Each shot's position in ``players``, or -1 for a player not in it.
+
+        Only the distinct ids are looked up, so no per-shot string is made.
+        """
+        names, inverse = np.unique(self.players, return_inverse=True)
         row = {p: i for i, p in enumerate(players)}
-        return np.array([row.get(p, -1) for p in self.players.tolist()], dtype=np.int64)
+        lookup = np.array([row.get(p, -1) for p in names.tolist()], dtype=np.int64)
+        return lookup[inverse]
 
 
 @dataclass
@@ -281,6 +287,9 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
     outcome, and, when a grid is given, a point on the court.  A row that
     breaks this raises ValueError naming the file and line; a file without
     rows names the file.
+
+    The columns grow as typed buffers and each distinct player id is kept
+    once, so no per-shot Python object outlives its row.
     """
     with open_text(path) as f:
         reader = csv.reader(f)
@@ -291,25 +300,34 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
         if len(header) != len(SHOT_HEADER):
             raise ValueError(f"{path}:1: columns {header}, expected {SHOT_HEADER}")
         ip, ix, iy, im = (header.index(c) for c in SHOT_HEADER)
-        players, xs, ys, made, lines = [], [], [], [], []
+        index = {}  # player id -> its position in order of first appearance
+        codes, xs, ys = array.array("q"), array.array("d"), array.array("d")
+        made, lines = array.array("b"), array.array("q")
         for row in reader:
             try:
                 if len(row) != len(SHOT_HEADER):
                     raise ValueError(f"{len(row)} fields, expected {len(SHOT_HEADER)}")
                 if not row[ip]:
                     raise ValueError("empty player id")
-                xs.append(float(row[ix]))
-                ys.append(float(row[iy]))
-                made.append(int(row[im]))
-                if made[-1] not in (0, 1):
-                    raise ValueError(f"made must be 0 or 1, got {made[-1]}")
+                x, y, m = float(row[ix]), float(row[iy]), int(row[im])
+                if m not in (0, 1):
+                    raise ValueError(f"made must be 0 or 1, got {m}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            players.append(row[ip])
+            codes.append(index.setdefault(row[ip], len(index)))
+            xs.append(x)
+            ys.append(y)
+            made.append(m)
             lines.append(reader.line_num)
     if not lines:
         raise ValueError(f"{path}: no shots")
-    shots = ShotTable(players, xs, ys, made)
+    players = np.array(list(index))[np.frombuffer(codes, dtype=np.int64)]
+    shots = ShotTable(
+        players,
+        np.frombuffer(xs, dtype=np.float64),
+        np.frombuffer(ys, dtype=np.float64),
+        np.frombuffer(made, dtype=np.int8),
+    )
     if grid is not None:
         _require_on_court(shots.x, shots.y, grid, lambda i: f"{path}:{lines[i]}: ")
     return shots
@@ -355,11 +373,15 @@ def read_labeled_csv(
     Every row must hold the grid's tile count of values (without a header,
     a one-field first line starting with ``#``, the first row's count); an
     empty row, a value that does not parse, a non-finite value, or (with
-    ``integer``) a negative or non-integer value raises ValueError naming
-    the file and line, and a file without rows names the file.
+    ``integer``) a negative, non-integer or beyond-int64 value raises
+    ValueError naming the file and line, and a file without rows names the
+    file.
+
+    The values go into one flat typed buffer that the matrix wraps, so no
+    per-value Python object outlives its row.
     """
-    parse = int if integer else float
-    ids, rows = [], []
+    parse, values = (int, array.array("q")) if integer else (float, array.array("d"))
+    ids = []
     grid, width = None, None
     with open_text(path) as f:
         reader = csv.reader(f)
@@ -381,17 +403,22 @@ def read_labeled_csv(
                     f"{path}:{line}: {len(row) - 1} values, expected {width}"
                 )
             try:
-                rows.append([parse(v) for v in row[1:]])
+                parsed = [parse(v) for v in row[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from exc
-            if integer and min(rows[-1], default=0) < 0:
-                raise ValueError(f"{path}:{line}: negative count {min(rows[-1])}")
-            if not integer and not all(map(math.isfinite, rows[-1])):
+            if integer and min(parsed, default=0) < 0:
+                raise ValueError(f"{path}:{line}: negative count {min(parsed)}")
+            if not integer and not all(map(math.isfinite, parsed)):
                 raise ValueError(f"{path}:{line}: non-finite value")
+            try:
+                values.extend(parsed)
+            except OverflowError as exc:
+                big = max(parsed)
+                raise ValueError(f"{path}:{line}: count {big} beyond int64") from exc
             ids.append(row[0])
-    if not rows:
+    if not ids:
         raise ValueError(f"{path}: no data rows")
-    matrix = np.array(rows, dtype=np.int64 if integer else np.float64)
+    matrix = np.frombuffer(values, dtype=values.typecode).reshape(len(ids), width)
     return ids, matrix, grid
 
 

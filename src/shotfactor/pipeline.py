@@ -2,9 +2,10 @@
 evaluation (in a worker beside the two before it), persisted and resumable.
 
 The stages form one table, ``STAGES``.  Every stage writes its outputs and
-their checksums, keyed on the package source digest, its config views and
-its input checksums.  A rerun skips a stage whose key is unchanged and whose
-outputs are intact, so a code edit reruns every stage once; a corrupted
+their checksums, keyed on a digest of the package source and of the numpy,
+BLAS and Python versions, its config views and its input checksums.  A
+rerun skips a stage whose key is unchanged and whose outputs are intact, so
+a code or environment change reruns every stage once; a corrupted
 intermediate reruns its stage with a warning.  Nothing here consults the
 clock, so a given (config, seed) pair always produces the same bytes.
 """
@@ -21,6 +22,7 @@ import json
 import os
 import pickle
 import signal
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -200,10 +202,23 @@ def _sha256(path) -> str:
 
 @functools.cache
 def _source_digest() -> str:
-    """SHA-256 over the SHA-256 of each ``*.py`` file of the package, by name."""
+    """SHA-256 over the SHA-256 of each ``*.py`` file of the package, by name,
+    and over the numerical environment that runs it: the numpy version, the
+    BLAS name and version numpy reports, and the Python version.
+
+    Nothing of the machine (CPU or BLAS thread count, host name) enters, as
+    the artifacts do not depend on it.
+    """
     here = os.path.dirname(os.path.abspath(__file__))
     names = sorted(n for n in os.listdir(here) if n.endswith(".py"))
     parts = [f"{n}={_sha256(os.path.join(here, n))}" for n in names]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.26 reports no build dependencies
+        blas = "unknown"
+    parts += [f"numpy={np.__version__}", f"blas={blas}"]
+    parts += [f"python={sys.version_info[:3]}"]
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 

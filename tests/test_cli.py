@@ -1269,6 +1269,21 @@ class TestPipelineCommand:
         assert _stage_outputs(out) == before
         assert run().count("up to date, skipping") == 5
 
+    def test_numpy_version_change_reruns_every_stage(
+        self, finished, tmp_path, capsys, monkeypatch
+    ):
+        """Each stage key also covers the numerical environment: reporting
+        another numpy version reruns all five stages of a finished
+        directory, which here give the same bytes."""
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        pipeline._source_digest.cache_clear()
+        try:
+            out, before, after = self._rerun(finished, tmp_path, capsys)
+        finally:
+            pipeline._source_digest.cache_clear()
+        assert out.count("done (key changed)") == 5
+        assert after == before
+
     def test_hash_player_id_runs_every_stage(self, finished, tmp_path):
         """A player id starting with "#" that sorts first is a data row of
         the header-less factor files, not a grid header."""

@@ -3,6 +3,7 @@ per-player holdout split."""
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,6 +53,18 @@ def _rows(shots):
     """The table as sorted (player, x, y, made) tuples."""
     return sorted(zip(shots.players.tolist(), shots.x.tolist(),
                       shots.y.tolist(), shots.made.tolist()))
+
+
+def _traced_peak(read):
+    """Peak traced bytes while ``read()`` runs, after one untraced call has
+    paid for any first-use allocations."""
+    read()
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _concat(*tables):
@@ -378,6 +391,15 @@ class TestShotCsvRoundTrip:
         with pytest.raises(ValueError, match=r"shots\.csv:2: made must be 0 or 1, got 2"):
             read_shot_csv(path)
 
+    def test_reading_keeps_no_object_per_shot(self, tmp_path):
+        """Reading 20k shots peaks below 100 traced bytes a shot: the columns
+        are typed buffers and each player id is one string (Python lists of
+        every field took over 200)."""
+        players = [f"p{i:02d}" for i in range(50)]
+        shots = _random_shots(np.random.default_rng(5), players, 400)
+        path = tmp_path / "shots.csv"
+        write_shot_csv(path, shots)
+        assert _traced_peak(lambda: read_shot_csv(path, DESK)) < 100 * len(shots)
 
     def test_byte_order_mark_and_non_ascii_id_read(self, tmp_path):
         """A spreadsheet's UTF-8 export starts with a byte-order mark; it is
@@ -608,17 +630,45 @@ class TestLabeledCsvReader:
         with pytest.raises(ValueError, match=r"s\.csv:3: .*'abc'"):
             read_labeled_csv(path)
 
-    def test_non_integer_count_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("c,1.5,2", r".*'1\.5'"),
+            ("c,-1,3", "negative count -1"),
+            ("c,99999999999999999999,1", "count 99999999999999999999 beyond int64"),
+        ],
+        ids=["non_integer", "negative", "beyond_int64"],
+    )
+    def test_bad_count_names_file_and_line(self, tmp_path, row, message):
         path = self._counts_file(tmp_path)
-        self._append(path, "c,1.5,2\r\n")
-        with pytest.raises(ValueError, match=r"counts\.csv:4: .*'1\.5'"):
+        self._append(path, row + "\r\n")
+        with pytest.raises(ValueError, match=r"counts\.csv:4: " + message):
             read_count_csv(path)
 
-    def test_negative_count_names_file_and_line(self, tmp_path):
+    def test_first_of_two_faults_named(self, tmp_path):
+        """Rows are checked in file order: a non-finite value on line 3
+        is named, not the short row on line 5."""
+        path = tmp_path / "s.csv"
+        write_labeled_csv(path, ["p0"], SURFACE_ROWS[:1], TWO)
+        self._append(path, "p1,nan,0.5\r\np2,0.5,0.5\r\np3,0.5\r\n")
+        with pytest.raises(ValueError, match=r"s\.csv:3: non-finite value"):
+            read_labeled_csv(path)
+
+    def test_negative_count_named_before_later_malformed_row(self, tmp_path):
         path = self._counts_file(tmp_path)
-        self._append(path, "c,-1,3\r\n")
+        self._append(path, "c,-1,3\r\nd,x,1\r\n")
         with pytest.raises(ValueError, match=r"counts\.csv:4: negative count -1"):
             read_count_csv(path)
+
+    def test_reading_keeps_no_object_per_value(self, tmp_path):
+        """A 60 x 350 float matrix reads below 32 traced bytes a value: the
+        values fill one typed buffer (a list of Python floats per row took
+        over 40)."""
+        matrix = np.random.default_rng(6).gamma(1.0, 1.0, size=(60, DESK.n_tiles))
+        path = tmp_path / "surfaces.csv"
+        write_labeled_csv(path, [f"p{i:02d}" for i in range(60)], matrix, DESK)
+        assert _traced_peak(lambda: read_tile_csv(path, DESK)) < 32 * matrix.size
+        np.testing.assert_array_equal(read_tile_csv(path, DESK)[1], matrix)
 
     def test_header_only_file_names_file(self, tmp_path):
         path = tmp_path / "counts.csv"
