@@ -61,14 +61,19 @@ def bernoulli_logits_loglik(attempts, logits):
 def type_weights(weights, bases, rows, tiles):
     """S x K products weights[rows[i], k] * bases[k, tiles[i]], and their sums.
 
-    A pair no basis reaches (sum <= 0) gets weight 1 per type and sum K.
+    Each type's products go straight into its column of the S x K table, so
+    no S x K gathered copy of weights or bases is made.  A pair no basis
+    reaches (sum <= 0) gets weight 1 per type and sum K.
     """
-    probs = weights[rows] * bases[:, tiles].T
+    k = weights.shape[1]
+    probs = np.empty((len(rows), k))
+    for col in range(k):
+        np.multiply(weights[rows, col], bases[col, tiles], out=probs[:, col])
     totals = probs.sum(axis=1)
     dead = totals <= 0.0
     if np.any(dead):
         probs[dead] = 1.0
-        totals[dead] = float(probs.shape[1])
+        totals[dead] = float(k)
     return probs, totals
 
 
@@ -92,7 +97,8 @@ def sq_exp_matrix(points, length_scale):
 
 def aggregate_outcomes(players, types, made, n_players, n_types):
     """Per (player, component) make and attempt counts."""
-    cells = players * n_types + types
+    cells = players * n_types
+    cells += types
     size = n_players * n_types
     attempts = np.bincount(cells, minlength=size).astype(np.float64)
     makes = np.bincount(cells, weights=made, minlength=size)
@@ -103,15 +109,18 @@ def mixture_probability_surface(weights, bases, logits):
     """Per-tile success probability sum_k sigma(logits[r, k]) p(k | r, tile)
     of each row r of weights and logits (R x K); returns R x V.
 
-    The products come from one ``type_weights`` call over every (row, tile)
-    pair, so a tile where every component has zero density gets the uniform
-    mixture.  Each row's numerator is the vector-matrix product
-    sigma(logits[r]) @ products[r] and its denominator the column sum of
-    the K x V products, taken in type order.
+    The R x K x V products weights[r, k] * bases[k, v] are broadcast in one
+    array.  A (row, tile) pair where every component has zero density gets
+    weight 1 per type, the uniform mixture, as ``type_weights`` gives it.
+    Each row's numerator is the vector-matrix product sigma(logits[r]) @
+    products[r] and its denominator the column sum of the K x V products,
+    taken in type order.
     """
-    r, k = weights.shape
-    v = bases.shape[1]
-    rows = np.repeat(np.arange(r), v)
-    probs, _ = type_weights(weights, bases, rows, np.tile(np.arange(v), r))
-    num = np.ascontiguousarray(probs.reshape(r, v, k).transpose(0, 2, 1))
-    return (expit(logits)[:, None, :] @ num)[:, 0, :] / num.sum(axis=1)
+    num = weights[:, :, None] * bases[None, :, :]
+    den = num.sum(axis=1)
+    dead = den <= 0.0
+    num.transpose(0, 2, 1)[dead] = 1.0
+    den[dead] = float(num.shape[1])
+    surface = (expit(logits)[:, None, :] @ num)[:, 0, :]
+    surface /= den
+    return surface

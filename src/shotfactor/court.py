@@ -125,23 +125,35 @@ class CourtGrid:
         return rows / volumes[:, None], volumes
 
 
-@dataclass(eq=False)
 class ShotTable:
-    """Field-goal attempts as four equal-length columns: row i says that
-    ``players[i]`` shot from ``(x[i], y[i])`` and made it (``made[i]`` = 1)
-    or missed (0)."""
+    """Field-goal attempts as equal-length columns: row i says that player
+    ``ids[codes[i]]`` shot from ``(x[i], y[i])`` and made it (``made[i]`` = 1)
+    or missed (0).
 
-    players: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    made: np.ndarray
+    ``ids`` is a sorted tuple of distinct player ids, so a shot's code is its
+    id's sorted rank and no per-shot string is kept.  A table taken from
+    another keeps its ids, so an id may have no shot.
+    """
 
-    def __post_init__(self):
-        self.players = np.asarray(self.players, dtype=str)
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        made = np.asarray(self.made)
-        shapes = {c.shape for c in (self.players, self.x, self.y, made)}
+    def __init__(self, players, x, y, made):
+        """A table from each shot's player id and its x, y and outcome."""
+        ids, codes = np.unique(np.asarray(players, dtype=str), return_inverse=True)
+        self._set(tuple(ids.tolist()), codes, x, y, made)
+
+    @classmethod
+    def from_codes(cls, ids: tuple[str, ...], codes, x, y, made) -> ShotTable:
+        """A table from sorted distinct ``ids`` and each shot's code into them."""
+        table = cls.__new__(cls)
+        table._set(ids, codes, x, y, made)
+        return table
+
+    def _set(self, ids, codes, x, y, made) -> None:
+        self.ids = ids
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.x = np.asarray(x, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
+        made = np.asarray(made)
+        shapes = {c.shape for c in (self.codes, self.x, self.y, made)}
         if len(shapes) != 1 or made.ndim != 1:
             raise ValueError(f"columns must be 1-D of one length, got {shapes}")
         bad = (made != 0) & (made != 1)
@@ -149,22 +161,25 @@ class ShotTable:
             raise ValueError(f"made must be 0 or 1, got {made[bad][0].item()!r}")
         self.made = made.astype(np.int64)
 
+    @property
+    def players(self) -> np.ndarray:
+        """Each shot's player id, built afresh from the codes on each call."""
+        return np.array(self.ids, dtype=str)[self.codes]
+
     def __len__(self) -> int:
         return len(self.x)
 
     def take(self, rows) -> ShotTable:
         """The shots at ``rows`` (indices or a boolean mask), in that order."""
-        return ShotTable(self.players[rows], self.x[rows], self.y[rows], self.made[rows])
+        return ShotTable.from_codes(
+            self.ids, self.codes[rows], self.x[rows], self.y[rows], self.made[rows]
+        )
 
     def player_rows(self, players: Sequence[str]) -> np.ndarray:
-        """Each shot's position in ``players``, or -1 for a player not in it.
-
-        Only the distinct ids are looked up, so no per-shot string is made.
-        """
-        names, inverse = np.unique(self.players, return_inverse=True)
+        """Each shot's position in ``players``, or -1 for a player not in it."""
         row = {p: i for i, p in enumerate(players)}
-        lookup = np.array([row.get(p, -1) for p in names.tolist()], dtype=np.int64)
-        return lookup[inverse]
+        lookup = np.array([row.get(p, -1) for p in self.ids], dtype=np.int64)
+        return lookup[self.codes]
 
 
 @dataclass
@@ -223,8 +238,9 @@ def build_count_matrix(
     if len(shots) == 0:
         raise ValueError("no shots supplied")
     if players is None:
-        names, totals = np.unique(shots.players, return_counts=True)
-        players = names[totals >= min_attempts].tolist()
+        totals = np.bincount(shots.codes, minlength=len(shots.ids)).tolist()
+        floor = max(min_attempts, 1)  # an id without shots is never a row
+        players = [p for p, total in zip(shots.ids, totals) if total >= floor]
         if not players:
             raise ValueError(
                 f"no player reaches the minimum of {min_attempts} attempts"
@@ -250,9 +266,10 @@ def split_holdout(
     check_number("fraction", fraction, 0, 1, strict=True)
     # draw over content-sorted positions so shuffled input gives the same
     # partition (up to exact-duplicate shots)
-    order = np.lexsort((shots.made, shots.y, shots.x, shots.players))
+    # codes are sorted ranks, so they order players as their ids do
+    order = np.lexsort((shots.made, shots.y, shots.x, shots.codes))
     _, starts, sizes = np.unique(
-        shots.players[order], return_index=True, return_counts=True
+        shots.codes[order], return_index=True, return_counts=True
     )
     in_test = np.zeros(len(shots), dtype=bool)
     for rank, (start, m) in enumerate(zip(starts.tolist(), sizes.tolist())):
@@ -276,7 +293,8 @@ def write_shot_csv(path, shots: ShotTable) -> None:
     with open_text(path, "w") as f:
         writer = csv.writer(f)
         writer.writerow(SHOT_HEADER)
-        writer.writerows(zip(shots.players, xs, ys, map(int, shots.made)))
+        players = map(shots.ids.__getitem__, shots.codes)
+        writer.writerows(zip(players, xs, ys, map(int, shots.made)))
 
 
 def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
@@ -289,7 +307,7 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
     rows names the file.
 
     The columns grow as typed buffers and each distinct player id is kept
-    once, so no per-shot Python object outlives its row.
+    once, as a code per shot, so no per-shot Python object outlives its row.
     """
     with open_text(path) as f:
         reader = csv.reader(f)
@@ -300,7 +318,7 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
         if len(header) != len(SHOT_HEADER):
             raise ValueError(f"{path}:1: columns {header}, expected {SHOT_HEADER}")
         ip, ix, iy, im = (header.index(c) for c in SHOT_HEADER)
-        index = {}  # player id -> its position in order of first appearance
+        index = {}  # player id -> its code in order of first appearance
         codes, xs, ys = array.array("q"), array.array("d"), array.array("d")
         made, lines = array.array("b"), array.array("q")
         for row in reader:
@@ -321,9 +339,11 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
             lines.append(reader.line_num)
     if not lines:
         raise ValueError(f"{path}: no shots")
-    players = np.array(list(index))[np.frombuffer(codes, dtype=np.int64)]
-    shots = ShotTable(
-        players,
+    ids = sorted(index)
+    rank = np.argsort([index[p] for p in ids])  # first-appearance code -> rank
+    shots = ShotTable.from_codes(
+        tuple(ids),
+        rank[np.frombuffer(codes, dtype=np.int64)],
         np.frombuffer(xs, dtype=np.float64),
         np.frombuffer(ys, dtype=np.float64),
         np.frombuffer(made, dtype=np.int8),

@@ -133,9 +133,15 @@ def predict_fg_pct(
     return float(surface[0, 0])
 
 
-def sample_shot_types(cum: np.ndarray, totals: np.ndarray, rng) -> np.ndarray:
-    """Draw one latent type per shot from cumsum(type_weights) and its sums."""
-    return backend.draw_type_indices(cum, totals, rng.random(len(totals)))
+def sample_shot_types(
+    cum: np.ndarray, totals: np.ndarray, rng, uniforms: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw one latent type per shot from cumsum(type_weights) and its sums.
+
+    ``uniforms``, when given, is a float64 buffer of one value per shot that
+    the draw's uniforms are written into, so a chain reuses one buffer.
+    """
+    return backend.draw_type_indices(cum, totals, rng.random(len(totals), out=uniforms))
 
 
 def gibbs_sigma_update(beta: np.ndarray, beta0, a: float, b: float, rng):
@@ -202,7 +208,8 @@ def fit_efficiency(
     config = config or EfficiencyConfig()
     players = np.ascontiguousarray(players, dtype=np.int64)
     tiles = np.ascontiguousarray(tiles, dtype=np.int64)
-    made = np.ascontiguousarray(made, dtype=np.int64)
+    # bincount weighs makes as float64, so the outcomes are converted once
+    made = np.ascontiguousarray(made, dtype=np.float64)
     if players.size == 0:
         raise ValueError("no shots to fit")
     n, k = loadings.weights.shape
@@ -213,7 +220,9 @@ def fit_efficiency(
 
     probs, totals = backend.type_weights(loadings.weights, loadings.bases, players, tiles)
     # column-major: draw_type_indices reads the table one column at a time
-    cum = np.asfortranarray(np.cumsum(probs, axis=1))
+    cum = np.cumsum(probs, axis=1, out=np.empty_like(probs, order="F"))
+    del probs
+    uniforms = np.empty(len(totals))
 
     # Data-informed start: per-cell rates shrunk toward the pooled rate by a
     # few pseudo-attempts put every coordinate of the first state inside its
@@ -222,7 +231,7 @@ def fit_efficiency(
     # empirical logit.  This matters because the slice angle is shared across
     # the stacked block: likelihood-tight coordinates cap it, so coordinates
     # that start far from their posterior move there only slowly.
-    types = sample_shot_types(cum, totals, rng)
+    types = sample_shot_types(cum, totals, rng, uniforms)
     makes, attempts = backend.aggregate_outcomes(players, types, made, n, k)
     pooled = (makes.sum(axis=0) + 1.0) / (attempts.sum(axis=0) + 2.0)
     beta0 = np.log(pooled) - np.log1p(-pooled)
@@ -238,7 +247,7 @@ def fit_efficiency(
     prob_sum = np.zeros((n, k))
 
     for sweep in range(config.sweeps):
-        types = sample_shot_types(cum, totals, rng)
+        types = sample_shot_types(cum, totals, rng, uniforms)
         makes, attempts = backend.aggregate_outcomes(players, types, made, n, k)
         beta0, beta, _ = gibbs_beta_step(beta0, beta, sigma2, makes, attempts, rng)
         sigma2 = gibbs_sigma_update(beta, beta0, PRIOR_A, PRIOR_B, rng)

@@ -45,6 +45,7 @@ class FactorModel:
     final_loss: float
     trace: np.ndarray
     n_iters: int
+    converged: bool  # the tolerance test stopped the fit, not max_iters
 
     @property
     def k(self) -> int:
@@ -136,8 +137,10 @@ def fit_nmf(data, k: int, loss: str = LOSSES[0], config: NmfConfig | None = None
     Iterates the per-loss multiplicative update and evaluates the loss every
     ``CHECK_EVERY`` steps and after the last one, stopping when the mean
     relative decrease per step over a window drops below ``config.tol`` or
-    after ``config.max_iters`` steps.  ``n_iters`` counts the steps taken and
-    ``trace`` holds the starting loss and the loss at each check.  Raw count
+    after ``config.max_iters`` steps.  ``n_iters`` counts the steps taken,
+    ``converged`` says whether the tolerance test stopped them (a fit that
+    meets it on its last check has converged too), and ``trace`` holds the
+    starting loss and the loss at each check.  Raw count
     matrices need ``COUNT_JITTER`` added first under the KL loss.
     """
     if loss not in LOSSES:
@@ -156,15 +159,15 @@ def fit_nmf(data, k: int, loss: str = LOSSES[0], config: NmfConfig | None = None
         prev = loss_fn(target, w @ b)
         trace = [prev]
         steps = 0
-        while steps < config.max_iters:
+        converged = False
+        while steps < config.max_iters and not converged:
             window = min(CHECK_EVERY, config.max_iters - steps)
             for _ in range(window):
                 w, b = step(w, b, target)
             steps += window
             cur = loss_fn(target, w @ b)
             trace.append(cur)
-            if prev - cur < config.tol * window * max(abs(prev), 1e-300):
-                break
+            converged = prev - cur < config.tol * window * max(abs(prev), 1e-300)
             prev = cur
         model = FactorModel(
             weights=w,
@@ -172,6 +175,7 @@ def fit_nmf(data, k: int, loss: str = LOSSES[0], config: NmfConfig | None = None
             final_loss=trace[-1],
             trace=np.array(trace),
             n_iters=steps,
+            converged=converged,
         )
         if best is None or model.final_loss < best.final_loss:
             best = model

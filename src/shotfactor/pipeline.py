@@ -400,6 +400,7 @@ def stage_factorize(inputs, outputs, k, loss, nmf: NmfConfig):
         "k": model.k,
         "final_loss": model.final_loss,
         "iterations": model.n_iters,
+        "converged": model.converged,
         "seed": nmf.seed,
     }
     write_json(manifest_path, manifest)
@@ -415,7 +416,7 @@ def stage_efficiency(inputs, outputs, efficiency: EfficiencyConfig):
     shots = read_shot_csv(shots_path, grid)
     idx = shots.player_rows(players)
     if np.any(idx < 0):
-        missing = sorted(set(shots.players[idx < 0].tolist()))
+        missing = [shots.ids[c] for c in np.unique(shots.codes[idx < 0]).tolist()]
         raise ValueError(f"shots reference players without loadings: {missing[:5]}")
     tiles = tile_indices(shots.x, shots.y, grid)
     model = fit_efficiency(idx, tiles, shots.made, loadings, efficiency).model

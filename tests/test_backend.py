@@ -2,6 +2,7 @@
 reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,7 +112,54 @@ def _random_mixture(rng, n=6, k=4, v=30):
     return weights, bases
 
 
+def _gathered_type_weights(weights, bases, rows, tiles):
+    """The S x K table built from gathered copies of weights and bases, the
+    reference that the in-place kernel matches bit for bit."""
+    probs = weights[rows] * bases[:, tiles].T
+    totals = probs.sum(axis=1)
+    dead = totals <= 0.0
+    probs[dead] = 1.0
+    totals[dead] = float(probs.shape[1])
+    return probs, totals
+
+
+def _gathered_surface(weights, bases, logits):
+    """The mixture surface from one gathered table over every (row, tile)
+    pair, transposed to R x K x V: the reference for the broadcast kernel."""
+    r, k = weights.shape
+    v = bases.shape[1]
+    rows = np.repeat(np.arange(r), v)
+    probs, _ = _gathered_type_weights(weights, bases, rows, np.tile(np.arange(v), r))
+    num = np.ascontiguousarray(probs.reshape(r, v, k).transpose(0, 2, 1))
+    return (bk.expit(logits)[:, None, :] @ num)[:, 0, :] / num.sum(axis=1)
+
+
+def _mixture_with_dead_tile(k):
+    """Seven rows over 60 tiles with zero weights here and there, a row of
+    zero weight, and tile 7 that no basis reaches."""
+    rng = np.random.default_rng(60 + k)
+    weights, bases = _random_mixture(rng, n=7, k=k, v=60)
+    weights[rng.random(weights.shape) < 0.2] = 0.0
+    weights[3] = 0.0
+    bases[:, 7] = 0.0
+    return rng, weights, bases
+
+
 class TestTypeWeights:
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_matches_gathered_reference_bit_for_bit(self, k):
+        """Column by column, the table and its sums equal the gathered
+        ones, on pairs no basis reaches too."""
+        rng, weights, bases = _mixture_with_dead_tile(k)
+        rows = rng.integers(0, 7, size=500)
+        tiles = rng.integers(0, 60, size=500)
+        tiles[:20] = 7
+        got = bk.type_weights(weights, bases, rows, tiles)
+        want = _gathered_type_weights(weights, bases, rows, tiles)
+        assert np.any(want[1] == k)
+        for got_part, want_part in zip(got, want):
+            np.testing.assert_array_equal(got_part, want_part)
+
     def test_products_and_sums(self):
         """Row i holds weights[rows[i]] * bases[:, tiles[i]] and its sum."""
         rng = np.random.default_rng(13)
@@ -283,6 +331,30 @@ class TestMixtureProbabilitySurface:
             num[:, 7] = 1.0
             expected = (bk.expit(l) @ num) / num.sum(axis=0)
             np.testing.assert_array_equal(row, expected)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_matches_gathered_reference_bit_for_bit(self, k):
+        """Broadcast products give the gathered kernel's surface, dead tile
+        and zero-weight row included."""
+        rng, weights, bases = _mixture_with_dead_tile(k)
+        logits = rng.normal(0, 1, size=(7, k))
+        got = bk.mixture_probability_surface(weights, bases, logits)
+        np.testing.assert_array_equal(got, _gathered_surface(weights, bases, logits))
+
+    def test_traces_at_most_eight_times_its_output(self):
+        """At 60 x 350 x 4 the traced peak stays within 8x the output: the
+        products are broadcast once (the gathered reference traces 13x)."""
+        rng = np.random.default_rng(59)
+        weights, bases = _random_mixture(rng, n=60, k=4, v=350)
+        logits = rng.normal(0, 1, size=(60, 4))
+        out = bk.mixture_probability_surface(weights, bases, logits)
+        tracemalloc.start()
+        try:
+            bk.mixture_probability_surface(weights, bases, logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * out.nbytes
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(47)

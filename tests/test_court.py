@@ -394,12 +394,16 @@ class TestShotCsvRoundTrip:
     def test_reading_keeps_no_object_per_shot(self, tmp_path):
         """Reading 20k shots peaks below 100 traced bytes a shot: the columns
         are typed buffers and each player id is one string (Python lists of
-        every field took over 200)."""
-        players = [f"p{i:02d}" for i in range(50)]
-        shots = _random_shots(np.random.default_rng(5), players, 400)
-        path = tmp_path / "shots.csv"
-        write_shot_csv(path, shots)
-        assert _traced_peak(lambda: read_shot_csv(path, DESK)) < 100 * len(shots)
+        every field took over 200).  One 40-character id among them costs
+        no more per shot, since a shot holds an integer code, not its id (a
+        fixed-width column of ids took over 200)."""
+        short = [f"p{i:02d}" for i in range(50)]
+        for players in (short, short[:-1] + ["x" * 40]):
+            shots = _random_shots(np.random.default_rng(5), players, 400)
+            path = tmp_path / "shots.csv"
+            write_shot_csv(path, shots)
+            peak = _traced_peak(lambda: read_shot_csv(path, DESK))
+            assert peak < 100 * len(shots), max(map(len, players))
 
     def test_byte_order_mark_and_non_ascii_id_read(self, tmp_path):
         """A spreadsheet's UTF-8 export starts with a byte-order mark; it is
@@ -532,6 +536,7 @@ class TestLabeledCsvGoldenBytes:
             final_loss=0.5,
             trace=np.array([0.5]),
             n_iters=3,
+            converged=False,
         )
         monkeypatch.setattr("shotfactor.pipeline.fit_nmf", lambda *args: model)
         surfaces = tmp_path / "s.csv"

@@ -319,6 +319,24 @@ class TestFitNmf:
         # a 1e-4 tolerance stops well before the cap, on a window boundary
         assert model.n_iters < 2000 and model.n_iters % CHECK_EVERY == 0
 
+    def test_converged_says_whether_the_tolerance_stopped_the_fit(self):
+        """A 20-step cap stops the fit before a 1e-4 tolerance does, so it has
+        not converged; without the cap the tolerance stops it.  Capped at
+        exactly that step count it has still converged, which n_iters ==
+        max_iters cannot tell."""
+        rng = np.random.default_rng(43)
+        lam = rng.uniform(0.1, 1.0, size=(9, 14))
+
+        def fit(max_iters):
+            config = NmfConfig(max_iters=max_iters, tol=1e-4, restarts=1, seed=3)
+            return fit_nmf(lam, 2, "kl", config)
+
+        capped, free = fit(20), fit(2000)
+        assert capped.n_iters == 20 and capped.converged is False
+        assert 20 < free.n_iters < 2000 and free.converged is True
+        last_check = fit(free.n_iters)
+        assert last_check.n_iters == free.n_iters and last_check.converged is True
+
     def test_deterministic(self):
         rng = np.random.default_rng(37)
         lam = rng.uniform(0.1, 1.0, size=(6, 9))
@@ -474,4 +492,5 @@ class TestFactorModelIO:
         assert meta["loss"] == "kl" and meta["k"] == 2
         assert meta["final_loss"] == model.final_loss
         assert meta["iterations"] == model.n_iters
+        assert meta["converged"] is model.converged
         assert meta["seed"] == 3
