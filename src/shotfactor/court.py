@@ -125,53 +125,47 @@ class CourtGrid:
         return rows / volumes[:, None], volumes
 
 
+@dataclass(eq=False)
 class ShotTable:
-    """Field-goal attempts as equal-length columns: row i says that player
-    ``ids[codes[i]]`` shot from ``(x[i], y[i])`` and made it (``made[i]`` = 1)
-    or missed (0).
+    """Field-goal attempts as equal-length 1-D columns: row i says that
+    player ``ids[codes[i]]`` shot from ``(x[i], y[i])`` and made it
+    (``made[i]`` = 1) or missed (0); columns that break this raise ValueError.
 
     ``ids`` is a sorted tuple of distinct player ids, so a shot's code is its
     id's sorted rank and no per-shot string is kept.  A table taken from
     another keeps its ids, so an id may have no shot.
     """
 
-    def __init__(self, players, x, y, made):
-        """A table from each shot's player id and its x, y and outcome."""
-        ids, codes = np.unique(np.asarray(players, dtype=str), return_inverse=True)
-        self._set(tuple(ids.tolist()), codes, x, y, made)
+    ids: tuple[str, ...]
+    codes: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    made: np.ndarray
 
-    @classmethod
-    def from_codes(cls, ids: tuple[str, ...], codes, x, y, made) -> ShotTable:
-        """A table from sorted distinct ``ids`` and each shot's code into them."""
-        table = cls.__new__(cls)
-        table._set(ids, codes, x, y, made)
-        return table
-
-    def _set(self, ids, codes, x, y, made) -> None:
-        self.ids = ids
-        self.codes = np.asarray(codes, dtype=np.int64)
-        self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        made = np.asarray(made)
+    def __post_init__(self):
+        self.ids = tuple(self.ids)
+        if pair := next(((a, b) for a, b in zip(self.ids, self.ids[1:]) if a >= b), None):
+            raise ValueError("ids must be sorted and distinct, got %r before %r" % pair)
+        self.codes = np.asarray(self.codes, dtype=np.int64)
+        self.x, self.y = (np.asarray(c, dtype=np.float64) for c in (self.x, self.y))
+        made = np.asarray(self.made)
         shapes = {c.shape for c in (self.codes, self.x, self.y, made)}
         if len(shapes) != 1 or made.ndim != 1:
             raise ValueError(f"columns must be 1-D of one length, got {shapes}")
+        bad = (self.codes < 0) | (self.codes >= len(self.ids))
+        if np.any(bad):
+            raise ValueError(f"codes must lie in [0, {len(self.ids)}), got {self.codes[bad][0]}")
         bad = (made != 0) & (made != 1)
         if np.any(bad):
             raise ValueError(f"made must be 0 or 1, got {made[bad][0].item()!r}")
         self.made = made.astype(np.int64)
-
-    @property
-    def players(self) -> np.ndarray:
-        """Each shot's player id, built afresh from the codes on each call."""
-        return np.array(self.ids, dtype=str)[self.codes]
 
     def __len__(self) -> int:
         return len(self.x)
 
     def take(self, rows) -> ShotTable:
         """The shots at ``rows`` (indices or a boolean mask), in that order."""
-        return ShotTable.from_codes(
+        return ShotTable(
             self.ids, self.codes[rows], self.x[rows], self.y[rows], self.made[rows]
         )
 
@@ -194,6 +188,8 @@ class CountMatrix:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (len(self.players), self.grid.n_tiles):
             raise ValueError("counts shape does not match players x tiles")
+        if len(set(self.players)) < len(self.players):
+            raise ValueError(f"repeated player {max(self.players, key=self.players.count)!r}")
         if np.any(self.counts < 0):
             raise ValueError("counts must be non-negative")
 
@@ -309,6 +305,7 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
     The columns grow as typed buffers and each distinct player id is kept
     once, as a code per shot, so no per-shot Python object outlives its row.
     """
+    where = lambda i: f"{path}:{lines[i]}: "
     with open_text(path) as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -331,6 +328,8 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
                 if m not in (0, 1):
                     raise ValueError(f"made must be 0 or 1, got {m}")
             except ValueError as exc:
+                if grid is not None:  # an earlier point off the court comes first
+                    _require_on_court(np.frombuffer(xs), np.frombuffer(ys), grid, where)
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
             codes.append(index.setdefault(row[ip], len(index)))
             xs.append(x)
@@ -341,15 +340,15 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
         raise ValueError(f"{path}: no shots")
     ids = sorted(index)
     rank = np.argsort([index[p] for p in ids])  # first-appearance code -> rank
-    shots = ShotTable.from_codes(
-        tuple(ids),
+    shots = ShotTable(
+        ids,
         rank[np.frombuffer(codes, dtype=np.int64)],
         np.frombuffer(xs, dtype=np.float64),
         np.frombuffer(ys, dtype=np.float64),
         np.frombuffer(made, dtype=np.int8),
     )
     if grid is not None:
-        _require_on_court(shots.x, shots.y, grid, lambda i: f"{path}:{lines[i]}: ")
+        _require_on_court(shots.x, shots.y, grid, where)
     return shots
 
 

@@ -188,21 +188,21 @@ def make_planted_truth(config: SynthConfig) -> PlantedTruth:
 
 def generate_shots(truth: PlantedTruth, seed: int) -> ShotTable:
     """All players' shots with outcomes, via per-player derived streams."""
-    players, xs, ys, made = [], [], [], []
-    for n, player in enumerate(truth.players):
+    xs, ys, made = [], [], []
+    for n in range(len(truth.players)):
         # stream tag 7: one stream per player, independent of player order
         rng = np.random.default_rng([seed, 7, n])
         x, y = sample_player_shots(
             truth.weights[n], truth.bases, truth.budgets[n], truth.grid, rng
         )
         tiles = tile_indices(x, y, truth.grid)
-        players += [player] * len(x)
         xs.append(x)
         ys.append(y)
         made.append(
             sample_outcomes(tiles, truth.weights[n], truth.bases, truth.beta[n], rng)
         )
-    return ShotTable(players, np.concatenate(xs), np.concatenate(ys), np.concatenate(made))
+    codes = np.repeat(np.arange(len(xs)), [len(x) for x in xs])  # the ids are sorted
+    return ShotTable(truth.players, codes, *map(np.concatenate, (xs, ys, made)))
 
 
 def generate_dataset(config: SynthConfig, shots_path) -> dict:

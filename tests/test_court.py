@@ -34,9 +34,20 @@ from shotfactor.synth import SynthConfig, generate_dataset
 DESK = CourtGrid(tile_size=(2.5, 2.0))
 
 
+def _table(players, x, y, made):
+    """A table from each shot's player id and its x, y and outcome."""
+    ids, codes = np.unique(np.asarray(players, dtype=str), return_inverse=True)
+    return ShotTable(tuple(ids.tolist()), codes, x, y, made)
+
+
+def _columns(shots):
+    """Each shot's player id, x, y and outcome."""
+    return np.array(shots.ids)[shots.codes], shots.x, shots.y, shots.made
+
+
 def _random_shots(rng, players, per_player, grid=DESK):
     n = len(players) * per_player
-    return ShotTable(
+    return _table(
         np.repeat(players, per_player),
         rng.uniform(0, grid.width, size=n),
         rng.uniform(0, grid.length, size=n),
@@ -46,13 +57,12 @@ def _random_shots(rng, players, per_player, grid=DESK):
 
 def _shots(*rows):
     """A table from (player, x, y, made) rows."""
-    return ShotTable(*(zip(*rows) if rows else [[]] * 4))
+    return _table(*(zip(*rows) if rows else [[]] * 4))
 
 
 def _rows(shots):
     """The table as sorted (player, x, y, made) tuples."""
-    return sorted(zip(shots.players.tolist(), shots.x.tolist(),
-                      shots.y.tolist(), shots.made.tolist()))
+    return sorted(zip(*(column.tolist() for column in _columns(shots))))
 
 
 def _traced_peak(read):
@@ -68,8 +78,7 @@ def _traced_peak(read):
 
 
 def _concat(*tables):
-    return ShotTable(*(np.concatenate([getattr(t, c) for t in tables])
-                       for c in ("players", "x", "y", "made")))
+    return _table(*map(np.concatenate, zip(*map(_columns, tables))))
 
 
 class TestCourtGrid:
@@ -229,6 +238,12 @@ class TestBuildCountMatrix:
         with pytest.raises(ValueError):
             CountMatrix(-np.ones((1, DESK.n_tiles)), ["a"], DESK)
 
+    def test_repeated_pinned_player_rejected(self):
+        """A pinned id named twice is an error, not an empty first row."""
+        shots = _shots(("a", 1.0, 1.0, 1), ("b", 1.0, 1.0, 0), ("b", 3.0, 3.0, 1))
+        with pytest.raises(ValueError, match="repeated player 'a'"):
+            build_count_matrix(shots, DESK, players=["a", "b", "a"])
+
 
 class TestSplitHoldout:
     def test_partition_is_exact(self):
@@ -243,8 +258,8 @@ class TestSplitHoldout:
         rng = np.random.default_rng(11)
         shots = _concat(_random_shots(rng, ["a"], 40), _random_shots(rng, ["b"], 7))
         _, test = split_holdout(shots, 0.1, seed=0)
-        assert np.sum(test.players == "a") == 4
-        assert np.sum(test.players == "b") == 1
+        assert np.sum(_columns(test)[0] == "a") == 4
+        assert np.sum(_columns(test)[0] == "b") == 1
 
     def test_single_shot_player_stays_in_train(self):
         shots = _shots(("solo", 5.0, 5.0, 1))
@@ -262,8 +277,8 @@ class TestSplitHoldout:
         first = split_holdout(shots, 0.2, seed=5)
         second = split_holdout(shots, 0.2, seed=5)
         for a, b in zip(first, second):
-            for column in ("players", "x", "y", "made"):
-                np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+            for column_a, column_b in zip(_columns(a), _columns(b)):
+                np.testing.assert_array_equal(column_a, column_b)
 
     def test_input_order_invariant(self):
         """The same shots shuffled produce the same partition as sets."""
@@ -288,12 +303,27 @@ class TestShotTable:
 
     def test_columns_must_have_one_length(self):
         with pytest.raises(ValueError, match="one length"):
-            ShotTable(["a", "b"], [1.0, 2.0], [1.0], [0, 1])
+            ShotTable(("a", "b"), [0, 1], [1.0, 2.0], [1.0], [0, 1])
+
+    @pytest.mark.parametrize(
+        "ids, codes, message",
+        [
+            (("a",), [0, -1], r"codes must lie in \[0, 1\), got -1"),
+            (("a",), [0, 3], r"codes must lie in \[0, 1\), got 3"),
+            (("b", "a"), [0, 1], "ids must be sorted and distinct, got 'b' before 'a'"),
+            (("a", "a"), [0, 1], "ids must be sorted and distinct, got 'a' before 'a'"),
+        ],
+    )
+    def test_codes_and_ids_checked(self, ids, codes, message):
+        """A code outside the ids, or ids out of order or repeated, is
+        rejected where the table is built."""
+        with pytest.raises(ValueError, match=message):
+            ShotTable(ids, codes, [1.0, 2.0], [1.0, 2.0], [0, 1])
 
     def test_take_keeps_row_order(self):
         shots = _shots(("a", 1.0, 2.0, 0), ("b", 3.0, 4.0, 1), ("c", 5.0, 6.0, 1))
         part = shots.take([2, 0])
-        assert part.players.tolist() == ["c", "a"]
+        assert _columns(part)[0].tolist() == ["c", "a"]
         assert part.x.tolist() == [5.0, 1.0] and part.made.tolist() == [1, 0]
 
 
@@ -312,8 +342,8 @@ class TestShotCsvRoundTrip:
         path = tmp_path / "shots.csv"
         write_shot_csv(path, shots)
         back = read_shot_csv(path)
-        for column in ("players", "x", "y", "made"):
-            np.testing.assert_array_equal(getattr(back, column), getattr(shots, column))
+        for column_back, column in zip(_columns(back), _columns(shots)):
+            np.testing.assert_array_equal(column_back, column)
 
     def test_writer_golden_bytes(self, tmp_path):
         """Floats as repr, the outcome as an int, csv row ends."""
@@ -358,6 +388,20 @@ class TestShotCsvRoundTrip:
             ValueError, match=r"shots\.csv:3: point \(40\.0, 2\.0\) lies outside"
         ):
             read_shot_csv(path, DESK)
+
+    def test_first_of_two_faults_named(self, tmp_path):
+        """Rows are checked in file order: the point off the court on line 3
+        is named, not the short row on line 5."""
+        path = tmp_path / "shots.csv"
+        path.write_text(
+            "player,x,y,made\np1,1.0,2.0,1\np1,40.0,2.0,0\np2,1.0,2.0,1\np2,1.0,2.0\n"
+        )
+        with pytest.raises(
+            ValueError, match=r"shots\.csv:3: point \(40\.0, 2\.0\) lies outside"
+        ):
+            read_shot_csv(path, DESK)
+        with pytest.raises(ValueError, match=r"shots\.csv:5: 3 fields, expected 4"):
+            read_shot_csv(path)
 
     def test_short_row_names_file_and_line(self, tmp_path):
         path = tmp_path / "shots.csv"
@@ -410,7 +454,7 @@ class TestShotCsvRoundTrip:
         not part of the first column's name."""
         path = tmp_path / "shots.csv"
         path.write_bytes("\ufeffplayer,x,y,made\nJokić,1.0,2.0,1\n".encode("utf-8"))
-        assert read_shot_csv(path).players.tolist() == ["Jokić"]
+        assert _columns(read_shot_csv(path))[0].tolist() == ["Jokić"]
 
     def test_latin1_file_names_file_and_line(self, tmp_path):
         path = tmp_path / "shots.csv"
@@ -478,6 +522,12 @@ class TestCountCsvRoundTrip:
         assert back.players == cm.players
         assert back.grid == DESK
         np.testing.assert_array_equal(back.counts, cm.counts)
+
+    def test_repeated_player_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("# grid 2.0 1.0 1.0 1.0\na,0,3\nb,1,1\na,2,0\n")
+        with pytest.raises(ValueError, match="repeated player 'a'"):
+            read_count_csv(path)
 
     def test_square_tile_header_round_trip(self, tmp_path):
         g = CourtGrid(tile_size=(5.0, 5.0))

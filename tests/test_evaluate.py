@@ -183,7 +183,9 @@ def _two_basis_shots(rng, n_players, per_player):
                 x, y = rng.uniform(6.0, 10.0), rng.uniform(4.0, 8.0)
             made = int(rng.random() < 0.45)
             rows.append((f"p{i}", float(x), float(y), made))
-    return ShotTable(*zip(*rows)), grid
+    players, xs, ys, made = zip(*rows)
+    ids, codes = np.unique(players, return_inverse=True)
+    return ShotTable(tuple(ids.tolist()), codes, xs, ys, made), grid
 
 
 @pytest.fixture(scope="module")

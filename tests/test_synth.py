@@ -1,6 +1,7 @@
 """Tests for the synthetic data generator and its planted ground truth."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ B22 = np.array([[0.5, 0.3, 0.15, 0.05], [0.05, 0.15, 0.3, 0.5]])
 
 def _tile_counts(xs, ys, grid):
     return np.bincount(tile_indices(xs, ys, grid), minlength=grid.n_tiles)
+
+
+def _columns(shots):
+    """Each shot's player id, x, y and outcome."""
+    return np.array(shots.ids)[shots.codes], shots.x, shots.y, shots.made
 
 
 class TestMakePlantedBases:
@@ -280,10 +286,35 @@ class TestGenerateShots:
             players=truth.players[:1],
             grid=truth.grid,
         )
-        first = full.take(full.players == truth.players[0])
+        first = full.take(_columns(full)[0] == truth.players[0])
         alone = generate_shots(solo, config.seed)
-        for column in ("players", "x", "y", "made"):
-            np.testing.assert_array_equal(getattr(first, column), getattr(alone, column))
+        for column_first, column_alone in zip(_columns(first), _columns(alone)):
+            np.testing.assert_array_equal(column_first, column_alone)
+
+    def test_codes_are_the_sorted_ranks_of_the_player_ids(self):
+        """The table equals one built from each shot's player id with
+        np.unique: the ids are the cohort's, sorted, and a code is its id's
+        rank."""
+        config = SynthConfig(n_players=12, budget_range=(30, 60), seed=4, grid=DESK)
+        truth = make_planted_truth(config)
+        shots = generate_shots(truth, config.seed)
+        ids, codes = np.unique(_columns(shots)[0], return_inverse=True)
+        assert shots.ids == tuple(ids.tolist()) == tuple(truth.players)
+        np.testing.assert_array_equal(shots.codes, codes)
+
+    def test_traced_peak_below_100_bytes_a_shot(self):
+        """At 60 players generation keeps the shots' columns and one code a
+        shot, no per-shot player id (a list of ids took about 120 bytes a
+        shot)."""
+        truth = make_planted_truth(SynthConfig(n_players=60, seed=0, grid=DESK))
+        shots = generate_shots(truth, 0)  # pays for first-use allocations
+        tracemalloc.start()
+        try:
+            generate_shots(truth, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * len(shots), peak / len(shots)
 
 
 class TestGenerateDataset:
