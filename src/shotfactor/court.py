@@ -118,6 +118,11 @@ class CourtGrid:
         gx, gy = np.meshgrid(*self.axis_centers())
         return np.column_stack([gx.ravel(), gy.ravel()])
 
+    def contains(self, x, y):
+        """Whether each point lies on the court, far edges included; NaN is
+        off.  Takes floats or arrays, and is the one on-court rule."""
+        return (0 <= x) & (x <= self.width) & (0 <= y) & (y <= self.length)
+
     def unit_volume(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Scale each row of rates (N x V) to integrate to 1 over the court;
         returns (scaled rows, each row's volume)."""
@@ -199,22 +204,18 @@ def tile_indices(xs: np.ndarray, ys: np.ndarray, grid: CourtGrid) -> np.ndarray:
     last tile, and a point off the court (or NaN) raises ValueError."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    _require_on_court(xs, ys, grid)
+    off = ~grid.contains(xs, ys)
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise ValueError(_off_court(xs[i], ys[i], grid))
     tx, ty = grid.tile_size
     ix = np.minimum((xs // tx).astype(np.int64), grid.nx - 1)
     iy = np.minimum((ys // ty).astype(np.int64), grid.ny - 1)
     return iy * grid.nx + ix
 
 
-def _require_on_court(xs, ys, grid: CourtGrid, where=lambda i: "") -> None:
-    """Raise for the first point off the court (or NaN), prefixed by where(i)."""
-    bad = ~((xs >= 0) & (xs <= grid.width) & (ys >= 0) & (ys <= grid.length))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"{where(i)}point ({xs[i]}, {ys[i]}) lies outside the "
-            f"{grid.width} x {grid.length} court"
-        )
+def _off_court(x, y, grid: CourtGrid) -> str:
+    return f"point ({x}, {y}) lies outside the {grid.width} x {grid.length} court"
 
 
 def build_count_matrix(
@@ -305,7 +306,6 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
     The columns grow as typed buffers and each distinct player id is kept
     once, as a code per shot, so no per-shot Python object outlives its row.
     """
-    where = lambda i: f"{path}:{lines[i]}: "
     with open_text(path) as f:
         reader = csv.reader(f)
         header = next(reader, [])
@@ -317,7 +317,7 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
         ip, ix, iy, im = (header.index(c) for c in SHOT_HEADER)
         index = {}  # player id -> its code in order of first appearance
         codes, xs, ys = array.array("q"), array.array("d"), array.array("d")
-        made, lines = array.array("b"), array.array("q")
+        made = array.array("b")
         for row in reader:
             try:
                 if len(row) != len(SHOT_HEADER):
@@ -327,29 +327,25 @@ def read_shot_csv(path, grid: CourtGrid | None = None) -> ShotTable:
                 x, y, m = float(row[ix]), float(row[iy]), int(row[im])
                 if m not in (0, 1):
                     raise ValueError(f"made must be 0 or 1, got {m}")
+                if grid is not None and not grid.contains(x, y):
+                    raise ValueError(_off_court(x, y, grid))
             except ValueError as exc:
-                if grid is not None:  # an earlier point off the court comes first
-                    _require_on_court(np.frombuffer(xs), np.frombuffer(ys), grid, where)
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
             codes.append(index.setdefault(row[ip], len(index)))
             xs.append(x)
             ys.append(y)
             made.append(m)
-            lines.append(reader.line_num)
-    if not lines:
+    if not made:
         raise ValueError(f"{path}: no shots")
     ids = sorted(index)
     rank = np.argsort([index[p] for p in ids])  # first-appearance code -> rank
-    shots = ShotTable(
+    return ShotTable(
         ids,
         rank[np.frombuffer(codes, dtype=np.int64)],
         np.frombuffer(xs, dtype=np.float64),
         np.frombuffer(ys, dtype=np.float64),
         np.frombuffer(made, dtype=np.int8),
     )
-    if grid is not None:
-        _require_on_court(shots.x, shots.y, grid, where)
-    return shots
 
 
 def _grid_header(grid: CourtGrid) -> str:
@@ -391,54 +387,49 @@ def read_labeled_csv(
 
     Every row must hold the grid's tile count of values (without a header,
     a one-field first line starting with ``#``, the first row's count); an
-    empty row, a value that does not parse, a non-finite value, or (with
-    ``integer``) a negative, non-integer or beyond-int64 value raises
-    ValueError naming the file and line, and a file without rows names the
-    file.
+    empty row, a value that does not parse, a non-finite value, (with
+    ``integer``) a negative, non-integer or beyond-int64 value, or an id
+    already on an earlier row raises ValueError naming the file and line,
+    and a file without rows names the file.
 
     The values go into one flat typed buffer that the matrix wraps, so no
     per-value Python object outlives its row.
     """
     parse, values = (int, array.array("q")) if integer else (float, array.array("d"))
-    ids = []
+    first = {}  # id -> the line it is on, in file order
     grid, width = None, None
     with open_text(path) as f:
         reader = csv.reader(f)
         for row in reader:
-            line = reader.line_num
-            if line == 1 and len(row) == 1 and row[0].startswith("#"):
-                try:
+            try:
+                if reader.line_num == 1 and len(row) == 1 and row[0].startswith("#"):
                     grid = _parse_grid_header(row[0])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:1: {exc}") from exc
-                width = grid.n_tiles
-                continue
-            if not row:
-                raise ValueError(f"{path}:{line}: empty row")
-            if width is None:
-                width = len(row) - 1
-            if len(row) - 1 != width:
-                raise ValueError(
-                    f"{path}:{line}: {len(row) - 1} values, expected {width}"
-                )
-            try:
+                    width = grid.n_tiles
+                    continue
+                if not row:
+                    raise ValueError("empty row")
+                if width is None:
+                    width = len(row) - 1
+                if len(row) - 1 != width:
+                    raise ValueError(f"{len(row) - 1} values, expected {width}")
                 parsed = [parse(v) for v in row[1:]]
+                if integer and min(parsed, default=0) < 0:
+                    raise ValueError(f"negative count {min(parsed)}")
+                if not integer and not all(map(math.isfinite, parsed)):
+                    raise ValueError("non-finite value")
+                try:
+                    values.extend(parsed)
+                except OverflowError as exc:
+                    raise ValueError(f"count {max(parsed)} beyond int64") from exc
+                line = first.setdefault(row[0], reader.line_num)
+                if line != reader.line_num:
+                    raise ValueError(f"repeated player {row[0]!r}, first on line {line}")
             except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from exc
-            if integer and min(parsed, default=0) < 0:
-                raise ValueError(f"{path}:{line}: negative count {min(parsed)}")
-            if not integer and not all(map(math.isfinite, parsed)):
-                raise ValueError(f"{path}:{line}: non-finite value")
-            try:
-                values.extend(parsed)
-            except OverflowError as exc:
-                big = max(parsed)
-                raise ValueError(f"{path}:{line}: count {big} beyond int64") from exc
-            ids.append(row[0])
-    if not ids:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not first:
         raise ValueError(f"{path}: no data rows")
-    matrix = np.frombuffer(values, dtype=values.typecode).reshape(len(ids), width)
-    return ids, matrix, grid
+    matrix = np.frombuffer(values, dtype=values.typecode).reshape(len(first), width)
+    return list(first), matrix, grid
 
 
 def read_tile_csv(path, grid: CourtGrid | None = None, integer: bool = False):

@@ -141,6 +141,21 @@ class TestCourtGrid:
         grid = CourtGrid(2.1, 2.7, (0.3, 0.3))
         assert (grid.nx, grid.ny, grid.n_tiles) == (7, 9, 63)
 
+    def test_contains_far_edges_not_nan_nor_just_off(self):
+        """The one on-court rule: both far edges are on the court, NaN and
+        a point just off any side are not, for floats and arrays alike."""
+        assert DESK.contains(0.0, 0.0) and DESK.contains(35.0, 50.0)
+        off = [
+            (np.nan, 1.0), (1.0, np.nan), (-1e-9, 1.0), (1.0, -1e-9),
+            (np.nextafter(35.0, 36.0), 1.0), (1.0, np.nextafter(50.0, 51.0)),
+        ]
+        for x, y in off:
+            assert not DESK.contains(x, y), (x, y)
+        xs, ys = zip((0.0, 0.0), (35.0, 50.0), (35.0, 0.0), (17.5, 25.0), *off)
+        np.testing.assert_array_equal(
+            DESK.contains(np.array(xs), np.array(ys)), [True] * 4 + [False] * 6
+        )
+
     def test_tile_centers_row_major_x_fastest(self):
         centers = DESK.tile_centers()
         assert centers.shape == (350, 2)
@@ -403,6 +418,27 @@ class TestShotCsvRoundTrip:
         with pytest.raises(ValueError, match=r"shots\.csv:5: 3 fields, expected 4"):
             read_shot_csv(path)
 
+    def test_nan_point_names_file_and_line(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,1.0,2.0,1\np1,nan,2.0,0\n")
+        with pytest.raises(
+            ValueError, match=r"shots\.csv:3: point \(nan, 2\.0\) lies outside"
+        ):
+            read_shot_csv(path, DESK)
+
+    def test_outcome_named_before_court_in_one_row(self, tmp_path):
+        """A row off the court whose outcome is also bad fails on its outcome."""
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,40.0,2.0,2\n")
+        with pytest.raises(ValueError, match=r"shots\.csv:2: made must be 0 or 1, got 2"):
+            read_shot_csv(path, DESK)
+
+    def test_empty_id_named_before_later_off_court_point(self, tmp_path):
+        path = tmp_path / "shots.csv"
+        path.write_text("player,x,y,made\np1,1.0,2.0,1\n,1.0,2.0,1\np1,40.0,2.0,0\n")
+        with pytest.raises(ValueError, match=r"shots\.csv:3: empty player id"):
+            read_shot_csv(path, DESK)
+
     def test_short_row_names_file_and_line(self, tmp_path):
         path = tmp_path / "shots.csv"
         path.write_text("player,x,y,made\np1,1.0,2.0,1\np1,3.0\n")
@@ -440,7 +476,10 @@ class TestShotCsvRoundTrip:
         are typed buffers and each player id is one string (Python lists of
         every field took over 200).  One 40-character id among them costs
         no more per shot, since a shot holds an integer code, not its id (a
-        fixed-width column of ids took over 200)."""
+        fixed-width column of ids took over 200).  Each row is checked
+        against the court as it is read, so no line-number column is kept
+        for a later check and the peak stays below 50 (such a column took
+        55)."""
         short = [f"p{i:02d}" for i in range(50)]
         for players in (short, short[:-1] + ["x" * 40]):
             shots = _random_shots(np.random.default_rng(5), players, 400)
@@ -448,6 +487,7 @@ class TestShotCsvRoundTrip:
             write_shot_csv(path, shots)
             peak = _traced_peak(lambda: read_shot_csv(path, DESK))
             assert peak < 100 * len(shots), max(map(len, players))
+            assert peak < 50 * len(shots), (peak / len(shots), max(map(len, players)))
 
     def test_byte_order_mark_and_non_ascii_id_read(self, tmp_path):
         """A spreadsheet's UTF-8 export starts with a byte-order mark; it is
@@ -526,7 +566,9 @@ class TestCountCsvRoundTrip:
     def test_repeated_player_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("# grid 2.0 1.0 1.0 1.0\na,0,3\nb,1,1\na,2,0\n")
-        with pytest.raises(ValueError, match="repeated player 'a'"):
+        with pytest.raises(
+            ValueError, match=r"counts\.csv:4: repeated player 'a', first on line 2"
+        ):
             read_count_csv(path)
 
     def test_square_tile_header_round_trip(self, tmp_path):
@@ -707,6 +749,18 @@ class TestLabeledCsvReader:
         write_labeled_csv(path, ["p0"], SURFACE_ROWS[:1], TWO)
         self._append(path, "p1,nan,0.5\r\np2,0.5,0.5\r\np3,0.5\r\n")
         with pytest.raises(ValueError, match=r"s\.csv:3: non-finite value"):
+            read_labeled_csv(path)
+
+    def test_repeated_id_in_any_matrix_names_file_and_line(self, tmp_path):
+        """Every matrix file is checked for a repeated id as its rows are
+        read, with or without a grid header; the repeat on line 3 is named
+        before the short row on line 4."""
+        path = tmp_path / "w.csv"
+        write_labeled_csv(path, ["a", "b"], SURFACE_ROWS)
+        self._append(path, "a,0.5,0.5\r\nc,0.5\r\n")
+        with pytest.raises(
+            ValueError, match=r"w\.csv:3: repeated player 'a', first on line 1"
+        ):
             read_labeled_csv(path)
 
     def test_negative_count_named_before_later_malformed_row(self, tmp_path):
